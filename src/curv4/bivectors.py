@@ -96,7 +96,8 @@ def hodge_star(b):
     return Bivector(HODGE_MATRIX @ b.coeffs)
 
 
-def _unit_sign(sign):
+def unit_sign(sign):
+    """1.0 or -1.0 for a sign given as +-1 or "+"/"-"; anything else is rejected."""
     if sign in (1, 1.0, "+"):
         return 1.0
     if sign in (-1, -1.0, "-"):
@@ -106,7 +107,7 @@ def _unit_sign(sign):
 
 def sd_project(b, sign):
     """Self-dual (+) or anti-self-dual (-) part, (b +/- *b)/2."""
-    s = _unit_sign(sign)
+    s = unit_sign(sign)
     return Bivector(0.5 * (b.coeffs + s * (HODGE_MATRIX @ b.coeffs)))
 
 
@@ -126,6 +127,8 @@ class FrameRotation:
         q = np.array(self.matrix, dtype=float)
         if q.shape != (4, 4):
             raise ValueError("a frame rotation is a 4x4 matrix")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("frame rotation entries must be finite")
         defect = float(np.max(np.abs(q.T @ q - np.eye(4))))
         if defect > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")

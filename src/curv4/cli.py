@@ -164,23 +164,24 @@ def _load_frame(path):
         raise InputError(f"{path}: {err}") from err
 
 
-def _parse_point(text):
+def _parse_numbers(flag, text, count, expected):
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError as err:
-        raise InputError(f"--point: {err}") from err
-    if len(values) != 4:
-        raise InputError("--point needs four comma-separated coordinates")
+        raise InputError(f"{flag}: {err}") from err
+    if len(values) != count:
+        raise InputError(f"{flag} needs {expected}")
+    if not all(np.isfinite(values)):
+        raise InputError(f"{flag} values must be finite")
     return values
 
 
+def _parse_point(text):
+    return _parse_numbers("--point", text, 4, "four comma-separated coordinates")
+
+
 def _parse_coeffs(text):
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as err:
-        raise InputError(f"--coeffs: {err}") from err
-    if len(values) != 3:
-        raise InputError("--coeffs needs three comma-separated numbers")
+    values = _parse_numbers("--coeffs", text, 3, "three comma-separated numbers")
     if abs(sum(v * v for v in values) - 1.0) > 1e-9:
         raise InputError("--coeffs must be a unit triple")
     return values
@@ -395,8 +396,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.tolerance <= 0.0:
-            raise InputError("--tolerance must be positive")
+        if not 0.0 < args.tolerance < np.inf:
+            raise InputError("--tolerance must be positive and finite")
         if getattr(args, "restarts", 1) < 1:
             raise InputError("--restarts must be at least 1")
         payload, failed = _DISPATCH[args.command](args)

@@ -71,6 +71,8 @@ class ComplexStructure:
         j = np.array(self.matrix, dtype=float)
         if j.shape != (4, 4):
             raise ValueError("a complex structure is a 4x4 matrix")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("complex structure entries must be finite")
         if np.max(np.abs(j.T @ j - np.eye(4))) > STRUCTURE_TOL:
             raise ValueError("complex structure must be orthogonal")
         if np.max(np.abs(j @ j + np.eye(4))) > STRUCTURE_TOL:
@@ -101,8 +103,9 @@ class KahlerCoeffs:
     a14: float
 
     def __post_init__(self):
-        if abs(self.a12**2 + self.a13**2 + self.a14**2 - 1.0) > 1e-9:
-            raise ValueError("coefficients must have unit sum of squares")
+        # written so that a NaN entry fails the comparison too
+        if not abs(self.a12**2 + self.a13**2 + self.a14**2 - 1.0) <= 1e-9:
+            raise ValueError("coefficients must be finite with unit sum of squares")
 
     def as_array(self):
         return np.array([self.a12, self.a13, self.a14])
@@ -150,7 +153,8 @@ def extend_to_bivectors(structure: ComplexStructure):
 
 def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
     """The twelve linear conditions on curvature components, evaluated as
-    left-minus-right residuals in the frame the components refer to."""
+    left-minus-right residuals in the frame the components refer to, and
+    the holomorphic sums (d12, d13, d14) they are built from."""
     c = r_op.component
     rho = ricci(r_op)
     a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
@@ -165,15 +169,14 @@ def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
     g13 = (c(1, 2, 1, 4) - c(3, 2, 3, 4)) - (c(2, 1, 2, 3) - c(4, 1, 4, 3))
     g14 = (c(1, 3, 1, 4) - c(2, 3, 2, 4)) - (c(4, 1, 4, 2) - c(3, 1, 3, 2))
 
-    return np.array(
+    lines = np.array(
         [
             a12 * g12 - a13 * d12,
             a12 * g13 - a14 * d12,
             a13 * g12 - a12 * d13,
             a13 * g14 - a14 * d13,
             a14 * g13 - a12 * d14,
-            a14 * ((c(1, 3, 1, 4) - c(2, 3, 2, 4)) + (c(3, 1, 3, 2) - c(4, 1, 4, 2)))
-            - a13 * d14,
+            a14 * g14 - a13 * d14,
             a12 * (rho[1, 2] + rho[0, 3]) - a13 * e12,
             a12 * (rho[1, 3] - rho[0, 2]) - a14 * e12,
             a13 * (rho[1, 2] - rho[0, 3]) - a12 * e13,
@@ -182,6 +185,48 @@ def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
             a14 * (rho[2, 3] - rho[0, 1]) - a13 * e14,
         ]
     )
+    return lines, (d12, d13, d14)
+
+
+class KahlerFrameView:
+    """What every Kaehler check reads of one operator in one frame for one
+    structure, computed once: the rotated operator, the coefficients, the
+    twelve lines and their largest absolute value, the holomorphic sums
+    d_1j = R_1j1j + R_klkl +/- 2 R_1jkl and the scale max(1, ||R||).
+
+    Construction cross-checks the lines against the frame-free conditions
+    RJ = JR = R: each line is a component of R applied to a J-antiinvariant
+    bivector, so it never exceeds ||RJ - R||, and all vanish with both defects.
+    """
+
+    def __init__(self, r_op, structure, q: FrameRotation):
+        self.operator, self.frame = r_op, q
+        self.rotated = conjugate(r_op, q)
+        self.coeffs = coeffs_in_frame(structure, q)
+        self.lines, self.holomorphic_sums = _identity_lines(self.rotated, self.coeffs)
+
+        jext = extend_to_bivectors(structure)
+        m = r_op.matrix
+        fixed_defect = float(np.linalg.norm(m @ jext - m))
+        commute_defect = float(np.linalg.norm(m @ jext - jext @ m))
+        self.scale = max(1.0, r_op.norm())
+        self.max_line = float(np.max(np.abs(self.lines)))
+        if self.max_line > fixed_defect * (1.0 + 1e-6) + 1e-12 * self.scale:
+            raise AssertionError(
+                "identity residuals exceed the operator defect ||RJ - R||"
+            )
+        if (
+            max(fixed_defect, commute_defect) <= 1e-9 * self.scale
+            and self.max_line > 1e-8 * self.scale
+        ):
+            raise AssertionError(
+                "operator satisfies RJ = JR = R but the identity lines do not vanish"
+            )
+
+    def require_kaehler(self, tol):
+        """Raise NonKahlerError unless every line is within tol * scale."""
+        if self.max_line > tol * self.scale:
+            raise NonKahlerError("operator does not satisfy the Kaehler conditions")
 
 
 def kaehler_residuals(r_op, structure, q: FrameRotation):
@@ -189,28 +234,9 @@ def kaehler_residuals(r_op, structure, q: FrameRotation):
 
     A Kaehler operator zeroes all twelve in every compatible frame.  The
     residuals are cross-checked against the frame-free operator conditions
-    RJ = JR = R: each line is a component of R applied to a J-antiinvariant
-    bivector, so it can never exceed ||RJ - R||.
+    RJ = JR = R when the :class:`KahlerFrameView` holding them is built.
     """
-    rc = conjugate(r_op, q)
-    coeffs = coeffs_in_frame(structure, q)
-    lines = _identity_lines(rc, coeffs)
-
-    jext = extend_to_bivectors(structure)
-    m = r_op.matrix
-    fixed_defect = float(np.linalg.norm(m @ jext - m))
-    commute_defect = float(np.linalg.norm(m @ jext - jext @ m))
-    scale = max(1.0, r_op.norm())
-    worst = float(np.max(np.abs(lines)))
-    if worst > fixed_defect * (1.0 + 1e-6) + 1e-12 * scale:
-        raise AssertionError(
-            "identity residuals exceed the operator defect ||RJ - R||"
-        )
-    if max(fixed_defect, commute_defect) <= 1e-9 * scale and worst > 1e-8 * scale:
-        raise AssertionError(
-            "operator satisfies RJ = JR = R but the identity lines do not vanish"
-        )
-    return lines
+    return KahlerFrameView(r_op, structure, q).lines
 
 
 def scalar_from_kaehler(r_op, structure, q: FrameRotation, tol=1e-9):
@@ -220,22 +246,12 @@ def scalar_from_kaehler(r_op, structure, q: FrameRotation, tol=1e-9):
     degenerate direction the associated curvature sum must itself vanish,
     which is asserted instead of dividing by zero.
     """
-    scale = max(1.0, r_op.norm())
-    lines = kaehler_residuals(r_op, structure, q)
-    if float(np.max(np.abs(lines))) > tol * scale:
-        raise NonKahlerError("operator does not satisfy the Kaehler conditions")
-    rc = conjugate(r_op, q)
-    c = rc.component
-    coeffs = coeffs_in_frame(structure, q)
-    sums = (
-        c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * c(1, 2, 3, 4),
-        c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * c(1, 3, 2, 4),
-        c(1, 4, 1, 4) + c(2, 3, 2, 3) + 2.0 * c(1, 4, 2, 3),
-    )
+    view = KahlerFrameView(r_op, structure, q)
+    view.require_kaehler(tol)
     candidates = []
-    for a1j, num in zip(coeffs.as_array(), sums):
+    for a1j, num in zip(view.coeffs.as_array(), view.holomorphic_sums):
         if abs(a1j) <= 1e-7:
-            if abs(num) > tol * scale:
+            if abs(num) > tol * view.scale:
                 raise AssertionError(
                     "degenerate coefficient direction carries a nonvanishing "
                     f"curvature sum {num:.3e}"
@@ -274,12 +290,11 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
     correction matrix built from components with three distinct indices
     (returned as ``wminus_correction``).
     """
-    scale = max(1.0, r_op.norm())
-    lines = kaehler_residuals(r_op, structure, q)
-    if float(np.max(np.abs(lines))) > tol * scale:
-        raise NonKahlerError("operator does not satisfy the Kaehler conditions")
+    view = KahlerFrameView(r_op, structure, q)
+    view.require_kaehler(tol)
+    scale = view.scale
     r = scalar_curvature(r_op)
-    coeffs = coeffs_in_frame(structure, q)
+    coeffs = view.coeffs
     a = coeffs.as_array()
 
     ad = adapted_form(r_op, q)
@@ -290,8 +305,7 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
     rank1 = (r / 4.0) * np.outer(a, a)
     traceless = rank1 - (r / 12.0) * np.eye(3)
 
-    rc = conjugate(r_op, q)
-    c = rc.component
+    c = view.rotated.component
     off12 = -(c(2, 1, 2, 4) - c(3, 1, 3, 4))
     off13 = c(2, 1, 2, 3) - c(4, 1, 4, 3)
     off23 = -(c(3, 1, 3, 2) - c(4, 1, 4, 2))

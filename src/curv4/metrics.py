@@ -242,7 +242,7 @@ class DiagonalMetric:
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = np.array(_scales_fn(self.key)(*point), dtype=float).reshape(4)
+        vals = np.array(_values_fn(self.key)(*point), dtype=float).reshape(4)
         if not np.all(np.isfinite(vals)) or np.any(vals <= MIN_SCALE):
             raise MetricDomainError(
                 f"scale functions must be positive at {point}; got {vals.tolist()}"
@@ -295,8 +295,8 @@ class JField:
 
     def values(self, point):
         point = _check_point(point)
-        vals = np.array(_jfield_fn(self.key)(*point), dtype=float).reshape(3)
-        if abs(float(vals @ vals) - 1.0) > 1e-10:
+        vals = np.array(_values_fn(self.key)(*point), dtype=float).reshape(3)
+        if not abs(float(vals @ vals) - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(
                 f"structure coefficients must have unit norm at {point}; got {vals.tolist()}"
             )
@@ -304,12 +304,8 @@ class JField:
 
 
 @lru_cache(maxsize=None)
-def _scales_fn(key):
-    return sp.lambdify(COORDS, sp.Matrix(list(key)), "numpy")
-
-
-@lru_cache(maxsize=None)
-def _jfield_fn(key):
+def _values_fn(key):
+    """Numeric evaluator of a tuple of scalar fields, one lambdify per tuple."""
     return sp.lambdify(COORDS, sp.Matrix(list(key)), "numpy")
 
 

@@ -16,25 +16,26 @@ tolerance is reported as "inconclusive".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd
 
 import numpy as np
 
 from .bivectors import FrameRotation, induced_map, random_rotation
 from .kahler import (
+    ComplexStructure,
     KahlerCoeffs,
-    NonKahlerError,
-    _identity_lines,
+    KahlerFrameView,
     coeffs_in_frame,
     from_unitary_frame,
     kaehler_residuals,
+    structure_from_coeffs,
 )
 from .operators import (
     CurvatureOperator,
     bianchi_defect,
-    conjugate,
     decompose,
     ricci,
     scalar_curvature,
@@ -219,35 +220,40 @@ class ScalarSignReport:
     ok: bool
 
 
+def _require_distinct_free(view, tol):
+    dres = distinct_index_residual(view.operator, view.frame)
+    if np.sqrt(dres) > tol * view.scale:
+        raise ValueError("frame carries distinct-index curvature components")
+    return dres
+
+
 def scalar_sign_check(r_op, structure, q: FrameRotation, tol=1e-9):
     """In a Kaehler frame with vanishing distinct-index components the three
     pair sums R_1212+R_3434, R_1313+R_2424, R_1414+R_2323 equal (r/2) a_1j^2,
     hence share the sign of the scalar curvature."""
-    scale = max(1.0, r_op.norm())
-    lines = kaehler_residuals(r_op, structure, q)
-    if float(np.max(np.abs(lines))) > tol * scale:
-        raise NonKahlerError("operator does not satisfy the Kaehler conditions")
-    if np.sqrt(distinct_index_residual(r_op, q)) > tol * scale:
-        raise ValueError("frame carries distinct-index curvature components")
-    rc = conjugate(r_op, q)
-    c = rc.component
+    return _sign_report(KahlerFrameView(r_op, structure, q), tol)
+
+
+def _sign_report(view, tol):
+    view.require_kaehler(tol)
+    _require_distinct_free(view, tol)
+    c = view.rotated.component
     sums = (
         c(1, 2, 1, 2) + c(3, 4, 3, 4),
         c(1, 3, 1, 3) + c(2, 4, 2, 4),
         c(1, 4, 1, 4) + c(2, 3, 2, 3),
     )
-    r = scalar_curvature(r_op)
-    coeffs = coeffs_in_frame(structure, q)
-    predicted = tuple((r / 2.0) * a1j**2 for a1j in coeffs.as_array())
+    r = scalar_curvature(view.operator)
+    predicted = tuple((r / 2.0) * a1j**2 for a1j in view.coeffs.as_array())
     deviation = max(abs(s - p) for s, p in zip(sums, predicted))
-    common_sign = 0 if abs(r) <= tol * scale else (1 if r > 0 else -1)
+    common_sign = 0 if abs(r) <= tol * view.scale else (1 if r > 0 else -1)
     return ScalarSignReport(
         pair_sums=tuple(float(s) for s in sums),
         predicted=tuple(float(p) for p in predicted),
         max_deviation=float(deviation),
         scalar=float(r),
         common_sign=common_sign,
-        ok=bool(deviation <= 1e-8 * scale),
+        ok=bool(deviation <= 1e-8 * view.scale),
     )
 
 
@@ -291,61 +297,47 @@ def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=Non
     recovered from a numerical frame search carry roughly the square root
     of the residual's accuracy.
     """
-    scale = max(1.0, r_op.norm())
+    dec = decompose(r_op)
+    if dec.weyl_minus.norm() > tol * max(1.0, r_op.norm()):
+        raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
+    return _classify(KahlerFrameView(r_op, structure, q), dec, tol, coeff_tol)
+
+
+def _classify(view, dec, tol, coeff_tol):
+    # the caller has checked that dec has no anti-self-dual Weyl part
     if coeff_tol is None:
         coeff_tol = max(tol, 1e-6)
-    dec = decompose(r_op)
-    if dec.weyl_minus.norm() > tol * scale:
-        raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
-    lines = kaehler_residuals(r_op, structure, q)
-    if float(np.max(np.abs(lines))) > tol * scale:
-        raise NonKahlerError("operator does not satisfy the Kaehler conditions")
-    dres = distinct_index_residual(r_op, q)
-    if np.sqrt(dres) > tol * scale:
-        raise ValueError("frame carries distinct-index curvature components")
+    view.require_kaehler(tol)
+    dres = _require_distinct_free(view, tol)
 
-    coeffs = coeffs_in_frame(structure, q)
+    a = view.coeffs.as_array()
     residuals = {
         "weyl_minus_norm": dec.weyl_minus.norm(),
         "weyl_plus_norm": dec.weyl_plus.norm(),
-        "kaehler_identity_max": float(np.max(np.abs(lines))),
+        "kaehler_identity_max": view.max_line,
         "distinct_index_residual": dres,
         "scalar_curvature": dec.r,
     }
-    if abs(dec.r) <= tol * scale:
-        if dec.weyl_plus.norm() <= 10.0 * tol * scale:
-            return ObstructionReport(
-                verdict=VERDICT_CONFORMALLY_FLAT,
-                residuals=residuals,
-                tolerance=tol,
-                frame=q.matrix,
-                coefficients=tuple(coeffs.as_array()),
-            )
-        return ObstructionReport(
-            verdict=VERDICT_VIOLATION,
-            residuals=residuals,
-            tolerance=tol,
-            frame=q.matrix,
-            coefficients=tuple(coeffs.as_array()),
-            notes=("scalar curvature vanishes but the self-dual Weyl part does not",),
-        )
-    coeff_defect = float(np.max(np.abs(coeffs.as_array() ** 2 - 1.0 / 3.0)))
-    residuals["coefficient_defect"] = coeff_defect
-    if coeff_defect <= coeff_tol:
-        return ObstructionReport(
-            verdict=VERDICT_SPECIAL_FRAME,
-            residuals=residuals,
-            tolerance=tol,
-            frame=q.matrix,
-            coefficients=tuple(coeffs.as_array()),
-            cases=c_system_solve(),
-        )
-    return ObstructionReport(
-        verdict=VERDICT_VIOLATION,
+    report = partial(
+        ObstructionReport,
         residuals=residuals,
         tolerance=tol,
-        frame=q.matrix,
-        coefficients=tuple(coeffs.as_array()),
+        frame=view.frame.matrix,
+        coefficients=tuple(a),
+    )
+    if abs(dec.r) <= tol * view.scale:
+        if dec.weyl_plus.norm() <= 10.0 * tol * view.scale:
+            return report(verdict=VERDICT_CONFORMALLY_FLAT)
+        return report(
+            verdict=VERDICT_VIOLATION,
+            notes=("scalar curvature vanishes but the self-dual Weyl part does not",),
+        )
+    coeff_defect = float(np.max(np.abs(a**2 - 1.0 / 3.0)))
+    residuals["coefficient_defect"] = coeff_defect  # report() holds this same dict
+    if coeff_defect <= coeff_tol:
+        return report(verdict=VERDICT_SPECIAL_FRAME, cases=c_system_solve())
+    return report(
+        verdict=VERDICT_VIOLATION,
         notes=(
             "nonzero scalar curvature with structure coefficients away from "
             "1/sqrt(3) contradicts the vanishing of the anti-self-dual block",
@@ -444,6 +436,7 @@ def _unit_row(j):
     return tuple(Fraction(1 if k == j else 0) for k in range(4))
 
 
+@lru_cache(maxsize=None)
 def c_system_solve():
     """Solve all 16 exact case systems on (c_1, .., c_4).
 
@@ -451,7 +444,7 @@ def c_system_solve():
     the zero solution.  Dropping relation j in favor of c_j = 0 can leave a
     line of solutions: the displayed reduced 3x3 system is skew with kernel
     spanned by (1, 1, 1), so e.g. c_1 = 0 admits (0, t, t, t).  The solution
-    sets are reported verbatim.
+    sets are reported verbatim, and solved once per process (no input).
     """
     cases = []
     for bits in itertools.product((True, False), repeat=4):
@@ -482,16 +475,33 @@ def case_summary(case: CSystemCase):
 _SYM_SLOTS = tuple((a, b) for a in range(6) for b in range(a, 6))
 
 
-def _sym_basis():
-    mats = []
+@lru_cache(maxsize=None)
+def _constraint_blocks():
+    """The Ricci-flat constraint rows on the symmetric basis, read-only and
+    shared by every call: the Bianchi row, the twelve Kaehler lines of each
+    axis structure e_k in the identity frame (3 x 12 x 21), the ten Ricci
+    rows and the three distinct-index rows."""
+    identity = FrameRotation.identity()
+    axes = [
+        ComplexStructure(structure_from_coeffs(KahlerCoeffs(*e))) for e in np.eye(3)
+    ]
+    columns = []
     for a, b in _SYM_SLOTS:
         e = np.zeros((6, 6))
         e[a, b] = e[b, a] = 1.0
-        mats.append(e)
-    return tuple(mats)
-
-
-_SYM_BASIS = _sym_basis()
+        op = CurvatureOperator(e)
+        rho = ricci(op)
+        column = [bianchi_defect(op)]
+        for axis in axes:
+            column.extend(kaehler_residuals(op, axis, identity))
+        column.extend(rho[i, j] for i in range(4) for j in range(i, 4))
+        column.extend(
+            op.component(*ijkl) for ijkl in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))
+        )
+        columns.append(column)
+    rows = np.ascontiguousarray(np.array(columns).T)
+    rows.flags.writeable = False
+    return rows[:1], rows[1:37].reshape(3, 12, -1), rows[37:47], rows[47:]
 
 
 @dataclass(frozen=True)
@@ -520,6 +530,10 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
     diagonal never forces a symmetric matrix to vanish.  Dropping the
     distinct-index family reopens the space further
     (``include_distinct_index=False`` is the control run).
+
+    The constraint rows are built once per process.  The twelve Kaehler
+    conditions are linear in the triple, so their rows are the triple times
+    the rows of the three axis structures, read off ``kaehler_residuals``.
     """
     if isinstance(coeffs, KahlerCoeffs):
         triple = coeffs
@@ -528,19 +542,13 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
         if len(vals) != 3:
             raise ValueError("expected a coefficient triple")
         triple = KahlerCoeffs(*vals)  # raises for non-unit triples
-    columns = []
-    for e in _SYM_BASIS:
-        op = CurvatureOperator(e)
-        rho = ricci(op)
-        rows = [bianchi_defect(op)]
-        rows.extend(_identity_lines(op, triple))
-        rows.extend(rho[a, b] for a in range(4) for b in range(a, 4))
-        if include_distinct_index:
-            rows.append(op.component(1, 2, 3, 4))
-            rows.append(op.component(1, 3, 2, 4))
-            rows.append(op.component(1, 4, 2, 3))
-        columns.append(rows)
-    constraints = np.array(columns, dtype=float).T
+    bianchi, axis_lines, ricci_rows, distinct = _constraint_blocks()
+    a12, a13, a14 = triple.as_array()
+    lines = a12 * axis_lines[0] + a13 * axis_lines[1] + a14 * axis_lines[2]
+    rows = [bianchi, lines, ricci_rows]
+    if include_distinct_index:
+        rows.append(distinct)
+    constraints = np.vstack(rows)
     _, sv, vt = np.linalg.svd(constraints)
     rank = int(np.sum(sv > rank_tol * sv[0]))
     dimension = len(_SYM_SLOTS) - rank
@@ -584,6 +592,9 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
     search = frame_search(r_op, restarts=restarts, seed=seed, tol=1e-10)
     residuals["distinct_index_residual"] = search.residual
     q = search.frame
+    report = partial(
+        ObstructionReport, residuals=residuals, tolerance=tolerance, frame=q.matrix
+    )
     if not search.conclusive:
         notes = ["no frame with vanishing distinct-index components was found"]
         if float(np.linalg.norm(ricci(r_op))) <= tolerance * scale:
@@ -596,67 +607,36 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
                 )
             except ValueError:
                 pass
-        return ObstructionReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            residuals=residuals,
-            tolerance=tolerance,
-            frame=q.matrix,
-            notes=tuple(notes),
-        )
+        return report(verdict=VERDICT_INCONCLUSIVE, notes=tuple(notes))
 
-    lines = kaehler_residuals(r_op, structure, q)
-    residuals["kaehler_identity_max"] = float(np.max(np.abs(lines)))
-    if residuals["kaehler_identity_max"] > tolerance * scale:
-        return ObstructionReport(
+    view = KahlerFrameView(r_op, structure, q)
+    residuals["kaehler_identity_max"] = view.max_line
+    if view.max_line > tolerance * scale:
+        return report(
             verdict=VERDICT_INCONCLUSIVE,
-            residuals=residuals,
-            tolerance=tolerance,
-            frame=q.matrix,
             notes=("operator is not Kaehler for the supplied structure",),
         )
 
-    sign_report = scalar_sign_check(r_op, structure, q, tol=tolerance)
-    residuals["scalar_relation_deviation"] = sign_report.max_deviation
+    residuals["scalar_relation_deviation"] = _sign_report(view, tolerance).max_deviation
 
     dec = decompose(r_op)
     if dec.weyl_minus.norm() <= tolerance * scale:
-        report = selfdual_classify(r_op, structure, q, tol=tolerance)
-        merged = dict(report.residuals)
-        merged.update(residuals)
-        return ObstructionReport(
-            verdict=report.verdict,
-            residuals=merged,
-            tolerance=tolerance,
-            frame=report.frame,
-            coefficients=report.coefficients,
-            cases=report.cases,
-            notes=report.notes,
-        )
+        classified = _classify(view, dec, tolerance, None)
+        return replace(classified, residuals={**classified.residuals, **residuals})
     if float(np.linalg.norm(ricci(r_op))) <= tolerance * scale:
-        cert = ricciflat_nullspace(coeffs_in_frame(structure, q).as_array())
+        cert = ricciflat_nullspace(view.coeffs.as_array())
         residuals["ricciflat_nullspace_dimension"] = cert.dimension
         if cert.dimension == 0:
-            return ObstructionReport(
+            return report(
                 verdict=VERDICT_VIOLATION,
-                residuals=residuals,
-                tolerance=tolerance,
-                frame=q.matrix,
                 notes=(
                     "a qualifying frame was found for a nonzero Ricci-flat "
                     "Kaehler operator, but the exact constraint space is zero",
                 ),
             )
-        return ObstructionReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            residuals=residuals,
-            tolerance=tolerance,
-            frame=q.matrix,
-        )
-    return ObstructionReport(
+        return report(verdict=VERDICT_INCONCLUSIVE)
+    return report(
         verdict=VERDICT_INCONCLUSIVE,
-        residuals=residuals,
-        tolerance=tolerance,
-        frame=q.matrix,
-        coefficients=tuple(coeffs_in_frame(structure, q).as_array()),
+        coefficients=tuple(view.coeffs.as_array()),
         notes=("operator is neither self-dual nor Ricci-flat; not covered",),
     )

@@ -26,10 +26,10 @@ from .bivectors import (
     HODGE_MATRIX,
     LEX_PAIRS,
     FrameRotation,
-    _unit_sign,
     adapted_matrix,
     induced_rotation,
     pair_slot,
+    unit_sign,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -44,6 +44,8 @@ class CurvatureOperator:
         m = np.array(matrix, dtype=float)
         if m.shape != (6, 6):
             raise ValueError("a curvature operator is a 6x6 matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("curvature operator entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         defect = float(np.max(np.abs(m - m.T)))
         if defect > SYMMETRY_TOL * scale:
@@ -277,7 +279,7 @@ def weyl_block(r_op, sign, q: FrameRotation):
     the component formulas, e.g. the (1,1) entry of the + block is
     (R_1212 + R_3434 + 2 R_1234)/2 in the rotated frame.
     """
-    s = _unit_sign(sign)
+    s = unit_sign(sign)
     beta = float(np.sum(r_op.matrix * HODGE_MATRIX)) / 6.0
     reduced = CurvatureOperator(r_op.matrix - beta * HODGE_MATRIX)
     ad = adapted_form(reduced, q)

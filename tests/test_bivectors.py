@@ -110,6 +110,14 @@ def test_frame_rotation_validation():
     assert np.linalg.det(orientation_flip()) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_frame_rotation_rejects_non_finite_entries(value):
+    bad = np.eye(4)
+    bad[1, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        FrameRotation(bad)
+
+
 def test_random_rotation_is_valid(rng):
     for _ in range(50):
         q = random_rotation(rng).matrix

@@ -221,3 +221,52 @@ def test_config_invariants_enforced(capsys):
     )
     assert main(bad_restarts) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--input", "const_hol_sec.json", "--tolerance", "nan"],
+        ["decompose", "--input", "const_hol_sec.json", "--tolerance", "inf"],
+        ["theorem", "ricci-flat", "--coeffs", "nan,0,0"],
+        ["metric-curvature", "--input", "flat_metric.json", "--point", "nan,0,0,0"],
+    ],
+)
+def test_non_finite_flags_exit_2(args, capsys):
+    assert main(resolve(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _nan_operator_doc():
+    matrix = [[0.0] * 6 for _ in range(6)]
+    matrix[0][0] = float("nan")
+    return {"basis": "lex12-34", "matrix": matrix}
+
+
+@pytest.mark.parametrize(
+    "command, operator_doc, frame_doc",
+    [
+        ("decompose", _nan_operator_doc(), None),
+        ("kahler-check", _nan_operator_doc(), None),
+        ("kahler-check", {"builder": "const-hol-sec", "params": [1.0],
+                          "J": [[float("nan")] * 4] * 4}, None),
+        ("kahler-check", {"builder": "const-hol-sec", "params": [1.0]},
+         {"Q": [[float("nan"), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+    ],
+)
+def test_non_finite_input_files_exit_2(command, operator_doc, frame_doc, tmp_path, capsys):
+    # json writes and reads NaN as a bare token; such entries must not reach
+    # the checks, where every comparison with them is false
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(operator_doc))
+    args = [command, "--input", str(op_path)]
+    if frame_doc is not None:
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps(frame_doc))
+        args += ["--frame", str(frame_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err

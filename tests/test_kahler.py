@@ -56,6 +56,18 @@ def test_kahler_coeffs_unit_validation():
         KahlerCoeffs(1.0, 1.0, 0.0)
 
 
+def test_structure_rejects_non_finite_entries():
+    bad = np.array(STANDARD_J)
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ComplexStructure(bad)
+
+
+def test_kahler_coeffs_reject_nan():
+    with pytest.raises(ValueError, match="finite"):
+        KahlerCoeffs(float("nan"), 0.0, 0.0)
+
+
 def test_coeffs_in_cp2_frame():
     coeffs = coeffs_in_frame(from_unitary_frame(), cp2_example_frame())
     s3 = 1.0 / np.sqrt(3.0)

@@ -259,6 +259,15 @@ def test_jfield_unit_norm_enforced():
         nabla_J_residuals(metric, j, (0.5, 0.0, 0.0, 0.0))
 
 
+def test_jfield_nan_values_rejected():
+    # sqrt of a negative number evaluates to NaN, which must not pass the
+    # unit-norm comparison
+    metric = DiagonalMetric("1", "1", "1", "1")
+    j = JField("sqrt(x1 - 1)", "0", "0")
+    with pytest.raises(ValueError, match="unit norm"), np.errstate(invalid="ignore"):
+        nabla_J_residuals(metric, j, (0.5, 0.0, 0.0, 0.0))
+
+
 # --- product splitting check ----------------------------------------------------
 
 def test_unitary_product_check_passes_for_product():

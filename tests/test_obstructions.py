@@ -1,13 +1,18 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_bianchi
+import curv4
+from conftest import SAMPLE_DIR, random_bianchi
 from curv4 import (
     ADAPTED_IDENTITY,
+    ComplexStructure,
     CurvatureOperator,
     FrameRotation,
+    KahlerCoeffs,
     NonKahlerError,
     bianchi_defect,
     build_const_hol_sec,
@@ -24,6 +29,7 @@ from curv4 import (
     from_unitary_frame,
     identity_operator,
     kaehler_residuals,
+    operator_from_dict,
     random_rotation,
     ricci,
     ricciflat_nullspace,
@@ -31,6 +37,8 @@ from curv4 import (
     scalar_sign_check,
     selfdual_classify,
     so4_exp,
+    structure_from_coeffs,
+    structure_from_dict,
 )
 from curv4.obstructions import (
     RELATION_ROWS,
@@ -360,6 +368,53 @@ def test_ricciflat_dimension_stable_under_rank_tolerance(rng):
         assert len(dims) == 1
 
 
+def test_kaehler_lines_are_linear_in_the_coefficients(rng):
+    # ricciflat_nullspace builds its twelve Kaehler rows once, as the triple
+    # times the lines of the three axis structures; this is the linearity
+    # that rests on, and a guard that the shared rows are not mutated
+    identity = FrameRotation.identity()
+    axes = [ComplexStructure(structure_from_coeffs(KahlerCoeffs(*e))) for e in np.eye(3)]
+    for _ in range(10):
+        op = random_bianchi(rng)
+        a = rng.standard_normal(3)
+        a /= np.linalg.norm(a)
+        structure = ComplexStructure(structure_from_coeffs(KahlerCoeffs(*a)))
+        expected = sum(
+            ak * kaehler_residuals(op, axis, identity) for ak, axis in zip(a, axes)
+        )
+        np.testing.assert_allclose(
+            kaehler_residuals(op, structure, identity),
+            expected,
+            rtol=0.0,
+            atol=1e-12 * max(1.0, op.norm()),
+        )
+        before = ricciflat_nullspace(tuple(a))
+        ricciflat_nullspace(tuple(a), include_distinct_index=False)
+        after = ricciflat_nullspace(tuple(a))
+        assert after.dimension == before.dimension == 3
+        np.testing.assert_array_equal(after.singular_values, before.singular_values)
+
+
+def test_ricciflat_constraints_are_built_once(monkeypatch):
+    ricciflat_nullspace((0.6, 0.8, 0.0))
+    built = Counter()
+    original = CurvatureOperator.__init__
+
+    def counting_init(self, matrix):
+        built["operators"] += 1
+        original(self, matrix)
+
+    monkeypatch.setattr(CurvatureOperator, "__init__", counting_init)
+    cert = ricciflat_nullspace((2 / 7, 3 / 7, 6 / 7))
+    # only the returned basis members are operators; no constraint row is
+    # rebuilt from operators after the first call
+    assert built["operators"] == cert.dimension == 3
+
+
+def test_c_system_solved_once():
+    assert c_system_solve() is c_system_solve()
+
+
 def test_ricciflat_rejects_non_unit_triple():
     with pytest.raises(ValueError):
         ricciflat_nullspace((1.0, 1.0, 0.0))
@@ -409,6 +464,31 @@ def test_suite_ricci_flat_family_reports_dimension():
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.residuals["distinct_index_residual"] <= 1e-10
     assert report.residuals["ricciflat_nullspace_dimension"] == 3
+
+
+@pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])
+def test_suite_builds_each_kaehler_quantity_once(sample, monkeypatch):
+    with open(SAMPLE_DIR / sample, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    op, structure = operator_from_dict(doc), structure_from_dict(doc)
+    counts = Counter()
+    targets = {
+        "conjugate": curv4.operators.conjugate,
+        "coeffs_in_frame": curv4.kahler.coeffs_in_frame,
+        "_identity_lines": curv4.kahler._identity_lines,
+        "decompose": curv4.operators.decompose,
+    }
+    for name, fn in targets.items():
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (curv4, curv4.operators, curv4.kahler, curv4.obstructions):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    report = run_obstruction_suite(op, structure)
+    assert report.verdict in (VERDICT_SPECIAL_FRAME, VERDICT_CONFORMALLY_FLAT)
+    assert counts == {name: 1 for name in targets}
 
 
 def test_suite_report_serializes():

@@ -103,6 +103,16 @@ def test_operator_requires_symmetry():
         CurvatureOperator(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_operator_rejects_non_finite_entries(value):
+    # NaN passes the symmetry comparison (nan > tol is false), so it is
+    # rejected explicitly
+    bad = np.eye(6)
+    bad[2, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        CurvatureOperator(bad)
+
+
 # --- ricci, scalar curvature, bianchi ---------------------------------------
 
 def test_ricci_identity_operator():
