@@ -12,6 +12,8 @@ from .bivectors import (
     ADAPTED_IDENTITY,
     HODGE_MATRIX,
     LEX_PAIRS,
+    PAIR_FIRST,
+    PAIR_SECOND,
     Bivector,
     FrameRotation,
     adapted_basis,
@@ -31,6 +33,7 @@ from .operators import (
     bianchi_defect,
     conjugate,
     decompose,
+    distinct_index_components,
     from_components,
     identity_operator,
     operator_from_dict,

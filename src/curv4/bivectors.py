@@ -17,6 +17,11 @@ import numpy as np
 LEX_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 _PAIR_SLOT = {pair: slot for slot, pair in enumerate(LEX_PAIRS)}
 
+# 0-based first and second index of each lexicographic pair.
+PAIR_FIRST = np.array([i - 1 for i, _ in LEX_PAIRS])
+PAIR_SECOND = np.array([j - 1 for _, j in LEX_PAIRS])
+PAIR_FIRST.flags.writeable = PAIR_SECOND.flags.writeable = False
+
 # *(e1^e2)=e3^e4, *(e1^e3)=-e2^e4, *(e1^e4)=e2^e3, extended by *^2 = Id.
 HODGE_MATRIX = np.array(
     [
@@ -124,7 +129,10 @@ class FrameRotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.matrix, dtype=float)
+        try:
+            q = np.array(self.matrix, dtype=float)
+        except (TypeError, OverflowError) as err:
+            raise ValueError("a frame rotation is a 4x4 matrix of numbers") from err
         if q.shape != (4, 4):
             raise ValueError("a frame rotation is a 4x4 matrix")
         if not np.all(np.isfinite(q)):
@@ -159,17 +167,17 @@ def orientation_flip():
     return m
 
 
-_ROW_I = np.array([p[0] - 1 for p in LEX_PAIRS])
-_ROW_J = np.array([p[1] - 1 for p in LEX_PAIRS])
+# Entry ((k, l), (i, j)) of induced_map(A) is A_ki A_lj - A_li A_kj.
+_FF = np.ix_(PAIR_FIRST, PAIR_FIRST)
+_SS = np.ix_(PAIR_SECOND, PAIR_SECOND)
+_SF = np.ix_(PAIR_SECOND, PAIR_FIRST)
+_FS = np.ix_(PAIR_FIRST, PAIR_SECOND)
 
 
 def induced_map(a):
     """6x6 matrix of v^w -> (Av)^(Aw) for an arbitrary 4x4 matrix A."""
     a = np.asarray(a, dtype=float)
-    return (
-        a[np.ix_(_ROW_I, _ROW_I)] * a[np.ix_(_ROW_J, _ROW_J)]
-        - a[np.ix_(_ROW_J, _ROW_I)] * a[np.ix_(_ROW_I, _ROW_J)]
-    )
+    return a[_FF] * a[_SS] - a[_SF] * a[_FS]
 
 
 def induced_rotation(q: FrameRotation):

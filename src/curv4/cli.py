@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -45,7 +46,12 @@ from .obstructions import (
     ricciflat_nullspace,
     run_obstruction_suite,
 )
-from .operators import bianchi_defect, decompose, operator_from_dict
+from .operators import (
+    bianchi_defect,
+    decompose,
+    distinct_index_components,
+    operator_from_dict,
+)
 
 PASSING_VERDICTS = (VERDICT_FLAT, VERDICT_CONFORMALLY_FLAT, VERDICT_SPECIAL_FRAME)
 
@@ -121,15 +127,19 @@ _BUILDERS = {
 def _operator_from_doc(doc):
     if isinstance(doc, dict) and "builder" in doc:
         name = doc["builder"]
-        if name not in _BUILDERS:
+        if not (isinstance(name, str) and name in _BUILDERS):
             raise ValueError(
                 f"unknown builder {name!r}; available: {sorted(_BUILDERS)}"
             )
         build, arity = _BUILDERS[name]
         params = doc.get("params", [])
-        if len(params) != arity:
+        if not (isinstance(params, list) and len(params) == arity):
             raise ValueError(f"builder {name!r} takes {arity} parameter(s)")
-        return build(*(float(p) for p in params))
+        try:
+            values = [float(p) for p in params]
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"builder {name!r} takes numeric parameters") from err
+        return build(*values)
     return operator_from_dict(doc)
 
 
@@ -140,7 +150,7 @@ def _load_operator(path):
         structure = structure_from_dict(doc) if "J" in doc else None
         if structure is None and isinstance(doc, dict) and "builder" in doc:
             structure = from_unitary_frame()
-        frame = FrameRotation(np.array(doc["frame"], dtype=float)) if "frame" in doc else None
+        frame = FrameRotation(doc["frame"]) if "frame" in doc else None
     except ValueError as err:
         raise InputError(f"{path}: {err}") from err
     return op, structure, frame
@@ -159,7 +169,7 @@ def _load_frame(path):
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError(f"{path}: frame document needs a 'Q' key")
     try:
-        return FrameRotation(np.array(doc["Q"], dtype=float))
+        return FrameRotation(doc["Q"])
     except ValueError as err:
         raise InputError(f"{path}: {err}") from err
 
@@ -245,14 +255,8 @@ def _cmd_metric_curvature(args):
         raise InputError(str(err)) from err
     scale = max(1.0, float(np.max(np.abs(primary.matrix))))
     agreement = float(np.max(np.abs(primary.matrix - oracle.matrix)))
-    distinct = max(
-        abs(primary.component(1, 2, 3, 4)),
-        abs(primary.component(1, 3, 2, 4)),
-        abs(primary.component(1, 4, 2, 3)),
-        abs(oracle.component(1, 2, 3, 4)),
-        abs(oracle.component(1, 3, 2, 4)),
-        abs(oracle.component(1, 4, 2, 3)),
-    )
+    both = distinct_index_components(primary) + distinct_index_components(oracle)
+    distinct = max(abs(v) for v in both)
     defect = abs(bianchi_defect(primary))
     checks = {
         "oracle_agreement": agreement <= 1e-8 * scale,
@@ -389,10 +393,24 @@ def emit_report(payload, fmt):
     return "\n".join(f"{key}: {value}" for key, value in _flatten(payload))
 
 
+def _join_negative_values(argv):
+    """argparse reads a value such as "-0.6,0,0.8" as an option, so a value
+    that starts like a negative number is joined to a preceding --coeffs or
+    --point as "--coeffs=-0.6,0,0.8"."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--coeffs", "--point") and re.match(r"-\.?\d", token):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -400,6 +418,8 @@ def main(argv=None):
             raise InputError("--tolerance must be positive and finite")
         if getattr(args, "restarts", 1) < 1:
             raise InputError("--restarts must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise InputError("--seed must be nonnegative")
         payload, failed = _DISPATCH[args.command](args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivectors import (
-    LEX_PAIRS,
+    PAIR_FIRST,
+    PAIR_SECOND,
     Bivector,
     FrameRotation,
     induced_map,
@@ -32,6 +33,7 @@ from .operators import (
     CurvatureOperator,
     adapted_form,
     conjugate,
+    distinct_index_components,
     from_components,
     ricci,
     scalar_curvature,
@@ -58,7 +60,7 @@ class NonKahlerError(ValueError):
 
 def _dual_bivector_coeffs(j):
     """Coefficients of the metric dual sum_{i<j} <J e_i, e_j> e_i^e_j."""
-    return np.array([j[b - 1, a - 1] for (a, b) in LEX_PAIRS])
+    return j[PAIR_SECOND, PAIR_FIRST]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +70,10 @@ class ComplexStructure:
     matrix: np.ndarray
 
     def __post_init__(self):
-        j = np.array(self.matrix, dtype=float)
+        try:
+            j = np.array(self.matrix, dtype=float)
+        except (TypeError, OverflowError) as err:
+            raise ValueError("a complex structure is a 4x4 matrix of numbers") from err
         if j.shape != (4, 4):
             raise ValueError("a complex structure is a 4x4 matrix")
         if not np.all(np.isfinite(j)):
@@ -159,9 +164,10 @@ def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
     rho = ricci(r_op)
     a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
 
-    d12 = c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * c(1, 2, 3, 4)
-    d13 = c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * c(1, 3, 2, 4)
-    d14 = c(1, 4, 1, 4) + c(2, 3, 2, 3) + 2.0 * c(1, 4, 2, 3)
+    r1234, r1324, r1423 = distinct_index_components(r_op)
+    d12 = c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * r1234
+    d13 = c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * r1324
+    d14 = c(1, 4, 1, 4) + c(2, 3, 2, 3) + 2.0 * r1423
     e12 = c(1, 2, 1, 2) - c(3, 4, 3, 4)
     e13 = c(1, 3, 1, 3) - c(2, 4, 2, 4)
     e14 = c(1, 4, 1, 4) - c(2, 3, 2, 3)
@@ -306,14 +312,15 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
     traceless = rank1 - (r / 12.0) * np.eye(3)
 
     c = view.rotated.component
+    r1234, r1324, r1423 = distinct_index_components(view.rotated)
     off12 = -(c(2, 1, 2, 4) - c(3, 1, 3, 4))
     off13 = c(2, 1, 2, 3) - c(4, 1, 4, 3)
     off23 = -(c(3, 1, 3, 2) - c(4, 1, 4, 2))
     correction = np.array(
         [
-            [-2.0 * c(1, 2, 3, 4), off12, off13],
-            [off12, 2.0 * c(2, 4, 1, 3), off23],
-            [off13, off23, -2.0 * c(1, 4, 2, 3)],
+            [-2.0 * r1234, off12, off13],
+            [off12, 2.0 * r1324, off23],
+            [off13, off23, -2.0 * r1423],
         ]
     )
 
@@ -356,23 +363,15 @@ def build_const_hol_sec(c):
                         + 2 w_ij w_kl),      w_ab = <J e_a, e_b>,
 
     so holomorphic planes have sectional curvature c and totally real ones
-    c/4.  Kaehler for the standard structure; anti-self-dual part zero.
+    c/4.  On bivectors the three terms are Id, the extension
+    v^w -> Jv^Jw and twice the projection onto the dual bivector w of J,
+    so the operator is (c/4) (Id + induced_map(J) + 2 w w^T).  Kaehler for
+    the standard structure; anti-self-dual part zero.
     """
-    c = float(c)
-    w = STANDARD_J.T  # w[a-1, b-1] = <J e_a, e_b>
-    delta = np.eye(4)
-    m = np.empty((6, 6))
-    for col, (i, j) in enumerate(LEX_PAIRS):
-        for row, (k, l) in enumerate(LEX_PAIRS):
-            ii, jj, kk, ll = i - 1, j - 1, k - 1, l - 1
-            m[row, col] = (c / 4.0) * (
-                delta[ii, kk] * delta[jj, ll]
-                - delta[ii, ll] * delta[jj, kk]
-                + w[ii, kk] * w[jj, ll]
-                - w[ii, ll] * w[jj, kk]
-                + 2.0 * w[ii, jj] * w[kk, ll]
-            )
-    return CurvatureOperator(m)
+    w = _dual_bivector_coeffs(STANDARD_J)
+    return CurvatureOperator(
+        (float(c) / 4.0) * (np.eye(6) + induced_map(STANDARD_J) + 2.0 * np.outer(w, w))
+    )
 
 
 def build_surface_product(k1, k2):
@@ -440,4 +439,4 @@ def structure_to_dict(structure: ComplexStructure):
 def structure_from_dict(doc):
     if not isinstance(doc, dict) or "J" not in doc:
         raise ValueError("complex-structure document needs a 'J' key")
-    return ComplexStructure(np.array(doc["J"], dtype=float))
+    return ComplexStructure(doc["J"])

@@ -242,7 +242,7 @@ class DiagonalMetric:
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = np.array(_values_fn(self.key)(*point), dtype=float).reshape(4)
+        vals = _evaluate(point, sp.Matrix, self.key).reshape(4)
         if not np.all(np.isfinite(vals)) or np.any(vals <= MIN_SCALE):
             raise MetricDomainError(
                 f"scale functions must be positive at {point}; got {vals.tolist()}"
@@ -267,6 +267,8 @@ def metric_from_dict(doc):
     j_field = None
     if "J_field" in doc:
         jdoc = doc["J_field"]
+        if not isinstance(jdoc, dict):
+            raise ValueError("J_field must be a JSON object")
         for name in ("a12", "a13", "a14"):
             if name not in jdoc:
                 raise ValueError(f"J_field is missing {name!r}")
@@ -295,7 +297,7 @@ class JField:
 
     def values(self, point):
         point = _check_point(point)
-        vals = np.array(_values_fn(self.key)(*point), dtype=float).reshape(3)
+        vals = _evaluate(point, sp.Matrix, self.key).reshape(3)
         if not abs(float(vals @ vals) - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(
                 f"structure coefficients must have unit norm at {point}; got {vals.tolist()}"
@@ -304,9 +306,22 @@ class JField:
 
 
 @lru_cache(maxsize=None)
-def _values_fn(key):
-    """Numeric evaluator of a tuple of scalar fields, one lambdify per tuple."""
-    return sp.lambdify(COORDS, sp.Matrix(list(key)), "numpy")
+def _compiled(build, keys):
+    """Numeric evaluator of the expressions build(*keys), one lambdify per
+    (builder, keys); a tuple of fields compiles through build = sp.Matrix."""
+    return sp.lambdify(COORDS, build(*keys), "numpy")
+
+
+def _evaluate(point, build, *keys):
+    """The compiled build(*keys) at a checked point, as a float array.
+
+    A value that divides by zero or overflows there is a domain error.
+    """
+    try:
+        vals = _compiled(build, keys)(*point)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise MetricDomainError(f"the metric is not defined at {point}: {err}") from err
+    return np.array(vals, dtype=float)
 
 
 def _fd(a, expr, i):
@@ -314,9 +329,8 @@ def _fd(a, expr, i):
     return sp.diff(expr, COORDS[i - 1]) / a[i - 1]
 
 
-@lru_cache(maxsize=None)
 def _gamma_exprs(key):
-    """Connection table gamma[i][j][k] = <nabla_{e_i} e_j, e_k>.
+    """Connection table gamma[i][j][k] = <nabla_{e_i} e_j, e_k>, flattened.
 
     For i != j the derivative lies along e_i with coefficient e_j(a_i)/a_i;
     the diagonal entries spread over the other directions with the opposite
@@ -333,14 +347,8 @@ def _gamma_exprs(key):
                         gamma[i][i][k] = -_fd(a, a[i - 1], k) / a[i - 1]
             else:
                 gamma[i][j][i] = _fd(a, a[i - 1], j) / a[i - 1]
-    return gamma
-
-
-@lru_cache(maxsize=None)
-def _gamma_fn(key):
-    g = _gamma_exprs(key)
-    flat = [g[i][j][k] for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)]
-    return sp.lambdify(COORDS, sp.Matrix(flat), "numpy")
+    r = range(1, 5)
+    return sp.Matrix([gamma[i][j][k] for i in r for j in r for k in r])
 
 
 def connection_coeffs(metric: DiagonalMetric, point):
@@ -348,11 +356,9 @@ def connection_coeffs(metric: DiagonalMetric, point):
     array indices for 1-based frame labels)."""
     point = _check_point(point)
     metric.scale_values(point)
-    vals = np.array(_gamma_fn(metric.key)(*point), dtype=float).reshape(4, 4, 4)
-    return vals
+    return _evaluate(point, _gamma_exprs, metric.key).reshape(4, 4, 4)
 
 
-@lru_cache(maxsize=None)
 def _frame_curvature_exprs(key):
     """All 36 operator entries from the orthogonal-coordinate curvature
     formulas, each triangle assembled from its own column's expressions.
@@ -411,17 +417,21 @@ def _frame_curvature_exprs(key):
     return sp.ImmutableMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def _frame_curvature_fn(key):
-    return sp.lambdify(COORDS, _frame_curvature_exprs(key), "numpy")
-
-
 def frame_curvature_raw(metric: DiagonalMetric, point):
     """The un-symmetrized 6x6 assembled from the frame formulas; the gap
     between it and its transpose is a consistency diagnostic."""
     point = _check_point(point)
     metric.scale_values(point)
-    return np.array(_frame_curvature_fn(metric.key)(*point), dtype=float)
+    return _evaluate(point, _frame_curvature_exprs, metric.key)
+
+
+def _curvature_operator(raw, point):
+    """The symmetrized operator of raw; its constructor rejects only
+    non-finite entries here, and those make the point a domain error."""
+    try:
+        return CurvatureOperator(0.5 * (raw + raw.T))
+    except ValueError as err:
+        raise MetricDomainError(f"the curvature is not finite at {tuple(point)}") from err
 
 
 def curvature_at(metric: DiagonalMetric, point):
@@ -439,10 +449,9 @@ def curvature_at(metric: DiagonalMetric, point):
             f"pair-symmetry defect {defect:.3e} at {tuple(point)}; the frame "
             "formulas are inconsistent here"
         )
-    return CurvatureOperator(0.5 * (raw + raw.T))
+    return _curvature_operator(raw, point)
 
 
-@lru_cache(maxsize=None)
 def _coordinate_curvature_exprs(key):
     """Independent route: coordinate Christoffel symbols of g = diag(a_i^2),
     the coordinate curvature tensor, conversion to the associated frame, and
@@ -483,11 +492,6 @@ def _coordinate_curvature_exprs(key):
     return sp.ImmutableMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def _coordinate_curvature_fn(key):
-    return sp.lambdify(COORDS, _coordinate_curvature_exprs(key), "numpy")
-
-
 def christoffel_oracle(metric: DiagonalMetric, point):
     """Curvature operator computed through coordinate Christoffel symbols.
 
@@ -496,11 +500,10 @@ def christoffel_oracle(metric: DiagonalMetric, point):
     """
     point = _check_point(point)
     metric.scale_values(point)
-    raw = np.array(_coordinate_curvature_fn(metric.key)(*point), dtype=float)
-    return CurvatureOperator(0.5 * (raw + raw.T))
+    raw = _evaluate(point, _coordinate_curvature_exprs, metric.key)
+    return _curvature_operator(raw, point)
 
 
-@lru_cache(maxsize=None)
 def _nabla_j_exprs(metric_key, j_key):
     a = list(metric_key)
     j12, j13, j14 = j_key
@@ -525,11 +528,6 @@ def _nabla_j_exprs(metric_key, j_key):
     return sp.ImmutableMatrix(lines)
 
 
-@lru_cache(maxsize=None)
-def _nabla_j_fn(metric_key, j_key):
-    return sp.lambdify(COORDS, _nabla_j_exprs(metric_key, j_key), "numpy")
-
-
 def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
     """Residuals of the twelve derivative equations a parallel pointwise
     structure must satisfy over an orthogonal chart (four derivative
@@ -537,8 +535,7 @@ def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
     point = _check_point(point)
     metric.scale_values(point)
     j_field.values(point)
-    vals = np.array(_nabla_j_fn(metric.key, j_field.key)(*point), dtype=float)
-    return vals.reshape(12)
+    return _evaluate(point, _nabla_j_exprs, metric.key, j_field.key).reshape(12)
 
 
 _CROSS_LABELS = (
@@ -547,14 +544,12 @@ _CROSS_LABELS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _cross_derivative_fn(key):
+def _cross_derivative_exprs(key):
     a = list(key)
-    exprs = [
+    return sp.Matrix([
         _fd(a, a[0], 3), _fd(a, a[0], 4), _fd(a, a[1], 3), _fd(a, a[1], 4),
         _fd(a, a[2], 1), _fd(a, a[2], 2), _fd(a, a[3], 1), _fd(a, a[3], 2),
-    ]
-    return sp.lambdify(COORDS, sp.Matrix(exprs), "numpy")
+    ])
 
 
 @dataclass(frozen=True)
@@ -573,7 +568,7 @@ def unitary_product_check(metric: DiagonalMetric, point, tol=1e-10):
     the point, through the eight frame cross-derivatives."""
     point = _check_point(point)
     metric.scale_values(point)
-    vals = np.array(_cross_derivative_fn(metric.key)(*point), dtype=float).reshape(8)
+    vals = _evaluate(point, _cross_derivative_exprs, metric.key).reshape(8)
     residuals = dict(zip(_CROSS_LABELS, (float(v) for v in vals)))
     failed = tuple(name for name, v in residuals.items() if abs(v) > tol)
     return UnitaryProductReport(

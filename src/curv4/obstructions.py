@@ -37,6 +37,7 @@ from .operators import (
     CurvatureOperator,
     bianchi_defect,
     decompose,
+    distinct_index_components,
     ricci,
     scalar_curvature,
 )
@@ -220,23 +221,23 @@ class ScalarSignReport:
     ok: bool
 
 
-def _require_distinct_free(view, tol):
-    dres = distinct_index_residual(view.operator, view.frame)
+def _require_distinct_free(view, dres, tol):
     if np.sqrt(dres) > tol * view.scale:
         raise ValueError("frame carries distinct-index curvature components")
-    return dres
 
 
 def scalar_sign_check(r_op, structure, q: FrameRotation, tol=1e-9):
     """In a Kaehler frame with vanishing distinct-index components the three
     pair sums R_1212+R_3434, R_1313+R_2424, R_1414+R_2323 equal (r/2) a_1j^2,
     hence share the sign of the scalar curvature."""
-    return _sign_report(KahlerFrameView(r_op, structure, q), tol)
+    view = KahlerFrameView(r_op, structure, q)
+    return _sign_report(view, distinct_index_residual(r_op, q), tol)
 
 
-def _sign_report(view, tol):
+def _sign_report(view, dres, tol):
+    # dres is the distinct-index residual of view's operator in view's frame
     view.require_kaehler(tol)
-    _require_distinct_free(view, tol)
+    _require_distinct_free(view, dres, tol)
     c = view.rotated.component
     sums = (
         c(1, 2, 1, 2) + c(3, 4, 3, 4),
@@ -300,15 +301,16 @@ def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=Non
     dec = decompose(r_op)
     if dec.weyl_minus.norm() > tol * max(1.0, r_op.norm()):
         raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
-    return _classify(KahlerFrameView(r_op, structure, q), dec, tol, coeff_tol)
+    view = KahlerFrameView(r_op, structure, q)
+    return _classify(view, dec, distinct_index_residual(r_op, q), tol, coeff_tol)
 
 
-def _classify(view, dec, tol, coeff_tol):
+def _classify(view, dec, dres, tol, coeff_tol):
     # the caller has checked that dec has no anti-self-dual Weyl part
     if coeff_tol is None:
         coeff_tol = max(tol, 1e-6)
     view.require_kaehler(tol)
-    dres = _require_distinct_free(view, tol)
+    _require_distinct_free(view, dres, tol)
 
     a = view.coeffs.as_array()
     residuals = {
@@ -472,7 +474,15 @@ def case_summary(case: CSystemCase):
 # ---------------------------------------------------------------------------
 # Ricci-flat obstruction as a nullspace computation.
 
-_SYM_SLOTS = tuple((a, b) for a in range(6) for b in range(a, 6))
+_SYM_ROWS, _SYM_COLS = np.triu_indices(6)  # the 21 entries of a symmetric 6x6
+_SYM_COUNT = len(_SYM_ROWS)
+
+
+def _symmetric(weights):
+    """Symmetric 6x6 matrices from their upper-triangle entries (last axis)."""
+    mats = np.zeros(weights.shape[:-1] + (6, 6))
+    mats[..., _SYM_ROWS, _SYM_COLS] = mats[..., _SYM_COLS, _SYM_ROWS] = weights
+    return mats
 
 
 @lru_cache(maxsize=None)
@@ -485,19 +495,15 @@ def _constraint_blocks():
     axes = [
         ComplexStructure(structure_from_coeffs(KahlerCoeffs(*e))) for e in np.eye(3)
     ]
+    upper = np.triu_indices(4)
     columns = []
-    for a, b in _SYM_SLOTS:
-        e = np.zeros((6, 6))
-        e[a, b] = e[b, a] = 1.0
+    for e in _symmetric(np.eye(_SYM_COUNT)):
         op = CurvatureOperator(e)
-        rho = ricci(op)
         column = [bianchi_defect(op)]
         for axis in axes:
             column.extend(kaehler_residuals(op, axis, identity))
-        column.extend(rho[i, j] for i in range(4) for j in range(i, 4))
-        column.extend(
-            op.component(*ijkl) for ijkl in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))
-        )
+        column.extend(ricci(op)[upper])
+        column.extend(distinct_index_components(op))
         columns.append(column)
     rows = np.ascontiguousarray(np.array(columns).T)
     rows.flags.writeable = False
@@ -551,17 +557,10 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
     constraints = np.vstack(rows)
     _, sv, vt = np.linalg.svd(constraints)
     rank = int(np.sum(sv > rank_tol * sv[0]))
-    dimension = len(_SYM_SLOTS) - rank
-    basis = []
-    for vec in vt[rank:]:
-        mat = np.zeros((6, 6))
-        for (a, b), weight in zip(_SYM_SLOTS, vec):
-            mat[a, b] = mat[b, a] = weight
-        basis.append(CurvatureOperator(mat))
     return NullspaceCertificate(
-        dimension=dimension,
+        dimension=_SYM_COUNT - rank,
         singular_values=sv,
-        basis=tuple(basis),
+        basis=tuple(CurvatureOperator(mat) for mat in _symmetric(vt[rank:])),
         constraint_count=constraints.shape[0],
         rank_tolerance=float(rank_tol),
     )
@@ -617,11 +616,12 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
             notes=("operator is not Kaehler for the supplied structure",),
         )
 
-    residuals["scalar_relation_deviation"] = _sign_report(view, tolerance).max_deviation
+    dres = distinct_index_residual(r_op, q)
+    residuals["scalar_relation_deviation"] = _sign_report(view, dres, tolerance).max_deviation
 
     dec = decompose(r_op)
     if dec.weyl_minus.norm() <= tolerance * scale:
-        classified = _classify(view, dec, tolerance, None)
+        classified = _classify(view, dec, dres, tolerance, None)
         return replace(classified, residuals={**classified.residuals, **residuals})
     if float(np.linalg.norm(ricci(r_op))) <= tolerance * scale:
         cert = ricciflat_nullspace(view.coeffs.as_array())

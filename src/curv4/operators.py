@@ -24,7 +24,8 @@ import numpy as np
 from .bivectors import (
     ADAPTED_IDENTITY,
     HODGE_MATRIX,
-    LEX_PAIRS,
+    PAIR_FIRST,
+    PAIR_SECOND,
     FrameRotation,
     adapted_matrix,
     induced_rotation,
@@ -41,7 +42,10 @@ class CurvatureOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
+        try:
+            m = np.array(matrix, dtype=float)
+        except (TypeError, OverflowError) as err:
+            raise ValueError("a curvature operator is a 6x6 matrix of numbers") from err
         if m.shape != (6, 6):
             raise ValueError("a curvature operator is a 6x6 matrix")
         if not np.all(np.isfinite(m)):
@@ -126,19 +130,30 @@ def from_components(components):
     return CurvatureOperator(m)
 
 
+# R_ijkl for all 0-based indices at once: the lexicographic slot of each
+# ordered pair, and the sign sorting it picks up (0 for a repeated index).
+_SLOT = np.zeros((4, 4), dtype=int)
+_SLOT[PAIR_FIRST, PAIR_SECOND] = _SLOT[PAIR_SECOND, PAIR_FIRST] = np.arange(6)
+_SIGN = np.zeros((4, 4))
+_SIGN[PAIR_FIRST, PAIR_SECOND], _SIGN[PAIR_SECOND, PAIR_FIRST] = 1.0, -1.0
+_SIGN4 = np.multiply.outer(_SIGN, _SIGN)
+
+
+def distinct_index_components(r_op):
+    """The three components (R_1234, R_1324, R_1423) whose four indices are
+    all distinct, the lexicographic entries (6,1), (5,2) and (4,3); a frame
+    from orthogonal coordinates zeroes all three."""
+    return tuple(r_op.matrix[(5, 4, 3), (0, 1, 2)].tolist())
+
+
 def ricci(r_op):
     """Ricci contraction rho(R)_ab = sum_i R_aibi, a symmetric 4x4 matrix.
 
-    The sum is frame independent; it is evaluated in the standard basis.
+    The sum is frame independent; it is evaluated in the standard basis,
+    as one contraction of the 4x4x4x4 component array read off the slot
+    and sign tables.
     """
-    rho = np.zeros((4, 4))
-    for a in range(1, 5):
-        for b in range(a, 5):
-            total = 0.0
-            for i in range(1, 5):
-                total += r_op.component(a, i, b, i)
-            rho[a - 1, b - 1] = rho[b - 1, a - 1] = total
-    return rho
+    return np.einsum("aibi->ab", _SIGN4 * r_op.matrix[_SLOT, _SLOT[:, :, None, None]])
 
 
 def scalar_curvature(r_op):
@@ -153,17 +168,20 @@ def bianchi_defect(r_op):
     It vanishes exactly when R is Frobenius-orthogonal to the Hodge star;
     both computations are carried out and must agree.
     """
-    by_components = (
-        r_op.component(1, 2, 3, 4)
-        + r_op.component(2, 3, 1, 4)
-        + r_op.component(3, 1, 2, 4)
-    )
+    r1234, r1324, r1423 = distinct_index_components(r_op)
+    by_components = r1234 + r1423 - r1324  # R_2314 = R_1423, R_3124 = -R_1324
     by_star = 0.5 * float(np.sum(r_op.matrix * HODGE_MATRIX))
     if abs(by_components - by_star) > 1e-10 * max(1.0, r_op.norm()):
         raise AssertionError(
             "component sum and star pairing disagree on the Bianchi defect"
         )
     return by_components
+
+
+# s_map on the column e_i^e_j and the row e_k^e_l: <u1,u3> = d_ik and so on.
+_I, _J, _K, _L = PAIR_FIRST, PAIR_SECOND, PAIR_FIRST[:, None], PAIR_SECOND[:, None]
+_D_IK, _D_JK = np.eye(4)[_I, _K], np.eye(4)[_J, _K]
+_D_JL, _D_IL = np.eye(4)[_J, _L], np.eye(4)[_I, _L]
 
 
 def s_map(t):
@@ -175,9 +193,11 @@ def s_map(t):
                                  + <T u1,u3> u2 - <T u2,u3> u1)
                           - (tr T / 6) (<u1,u3> u2 - <u2,u3> u1)
 
-    evaluated on basis pairs.  On an eigenbasis of T this reduces to the
-    diagonal action (lam_i + lam_j - tr T / 3)/2 on e_i^e_j, which tests
-    use as an independent oracle.
+    evaluated on all basis pairs at once: with u1^u2 = e_i^e_j and the row
+    e_k^e_l, <u1,u3> is d_ik and <T u2,u4> is T_lj, read through the pair
+    index arrays.  On an eigenbasis of T this reduces to the diagonal action
+    (lam_i + lam_j - tr T / 3)/2 on e_i^e_j, which tests use as an
+    independent oracle.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
@@ -185,21 +205,11 @@ def s_map(t):
     if np.max(np.abs(t - t.T)) > 1e-9 * max(1.0, float(np.max(np.abs(t)))):
         raise ValueError("s_map expects a symmetric matrix")
     tr = float(np.trace(t))
-    eye = np.eye(4)
-    m = np.empty((6, 6))
-    for col, (i, j) in enumerate(LEX_PAIRS):
-        u1, u2 = eye[i - 1], eye[j - 1]
-        tu1, tu2 = t @ u1, t @ u2
-        for row, (k, l) in enumerate(LEX_PAIRS):
-            u3, u4 = eye[k - 1], eye[l - 1]
-            val = 0.5 * (
-                (u1 @ u3) * (tu2 @ u4)
-                - (u2 @ u3) * (tu1 @ u4)
-                + (tu1 @ u3) * (u2 @ u4)
-                - (tu2 @ u3) * (u1 @ u4)
-            )
-            val -= (tr / 6.0) * ((u1 @ u3) * (u2 @ u4) - (u2 @ u3) * (u1 @ u4))
-            m[row, col] = val
+    t = t + 0.0  # -0.0 entries read as +0.0, as in the products <T u, v>
+    m = 0.5 * (
+        _D_IK * t[_L, _J] - _D_JK * t[_L, _I] + t[_K, _I] * _D_JL - t[_K, _J] * _D_IL
+    )
+    m -= (tr / 6.0) * (_D_IK * _D_JL - _D_JK * _D_IL)
     return CurvatureOperator(m)
 
 
@@ -297,13 +307,18 @@ def operator_from_dict(doc):
     if "matrix" in doc:
         if doc.get("basis", "lex12-34") != "lex12-34":
             raise ValueError(f"unknown basis {doc.get('basis')!r}")
-        return CurvatureOperator(np.array(doc["matrix"], dtype=float))
+        return CurvatureOperator(doc["matrix"])
     if "components" in doc:
+        if not isinstance(doc["components"], list):
+            raise ValueError("'components' must be a list of component entries")
         entries = []
         for item in doc["components"]:
-            ijkl = item.get("ijkl")
+            ijkl = item.get("ijkl") if isinstance(item, dict) else None
             if not (isinstance(ijkl, (list, tuple)) and len(ijkl) == 4):
                 raise ValueError(f"component entry needs a 4-index 'ijkl', got {item!r}")
-            entries.append((*ijkl, float(item["value"])))
+            try:
+                entries.append((*ijkl, float(item["value"])))
+            except (KeyError, TypeError, OverflowError) as err:
+                raise ValueError(f"component entry {item!r} needs a numeric 'value'") from err
         return from_components(entries)
     raise ValueError("operator document needs a 'matrix' or a 'components' key")

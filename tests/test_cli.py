@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_DIR
 from curv4.cli import emit_report, main
@@ -270,3 +276,209 @@ def test_non_finite_input_files_exit_2(command, operator_doc, frame_doc, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("decompose", {"components": [1]}),
+        ("decompose", {"components": [{"ijkl": [1, 2, 1, 2]}]}),
+        ("decompose", {"components": [{"ijkl": [1, 2, 1, 2], "value": [1.0]}]}),
+        ("decompose", {"components": 7}),
+        ("decompose", {"matrix": {}}),
+        ("decompose", {"builder": "const-hol-sec", "params": 5}),
+        ("decompose", {"builder": "const-hol-sec", "params": [None]}),
+        ("decompose", {"builder": "const-hol-sec", "params": [10**400]}),
+        ("decompose", {"builder": ["const-hol-sec"], "params": [1.0]}),
+        ("kahler-check", {"builder": "const-hol-sec", "params": [1.0], "J": {}}),
+        ("kahler-check", {"builder": "const-hol-sec", "params": [1.0], "frame": [{}]}),
+        ("metric-curvature", {"a1": "1", "a2": "1", "a3": "1", "a4": "1", "J_field": 5}),
+        (
+            "metric-curvature",
+            {"a1": "1", "a2": "1", "a3": "1", "a4": "1", "J_field": "a12 a13 a14"},
+        ),
+    ],
+)
+def test_malformed_documents_exit_2(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["metric-curvature"], {"a1": "1/x1", "a2": "1", "a3": "1", "a4": "1"}),
+        (["theorem", "unitary-product"], {"a1": "1/x1", "a2": "1", "a3": "1", "a4": "1"}),
+        (
+            ["metric-curvature", "--point", "2,0,0,0"],
+            {"a1": "x1^100000000", "a2": "1", "a3": "1", "a4": "1"},
+        ),
+        (
+            ["metric-curvature"],
+            {"a1": "1", "a2": "1", "a3": "1", "a4": "1",
+             "J_field": {"a12": "1/x2", "a13": "0", "a14": "0"}},
+        ),
+        # finite scales whose derivative is infinite at the point
+        (["metric-curvature"], {"a1": "1 + sqrt(x2)", "a2": "1", "a3": "1", "a4": "1"}),
+    ],
+)
+def test_metric_undefined_at_point_exits_2(args, doc, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    assert main([*args, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_negative_seed_exits_2(capsys):
+    args = resolve(["frame-search", "--input", "const_hol_sec.json", "--seed", "-1"])
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (["theorem", "ricci-flat"], "--coeffs", "-0.6,0,0.8"),
+        (["theorem", "ricci-flat"], "--coeffs", "-.6,0,.8"),
+        (["metric-curvature", "--input", "flat_metric.json"], "--point", "-0.1,0,0,0"),
+        (
+            ["theorem", "unitary-product", "--input", "product_metric.json"],
+            "--point",
+            "-0.1,0.2,-0.1,0.05",
+        ),
+    ],
+)
+def test_leading_negative_flag_value_parses(args, flag, value, capsys):
+    # "--flag -0.6,..." is read as the value, the same as "--flag=-0.6,..."
+    code = main(resolve([*args, flag, value]))
+    separate = capsys.readouterr()
+    assert code == main(resolve([*args, f"{flag}={value}"]))
+    assert separate == capsys.readouterr()
+    assert code in (0, 1) and separate.err == ""
+    assert "[-0." in separate.out
+
+
+# --- CLI fuzz: random and malformed documents ------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBER = st.integers(-3, 3) | st.floats(-3.0, 3.0)
+
+
+def _spoiled(docs):
+    """Well-formed documents, the same with one field replaced by random JSON,
+    and random JSON itself."""
+    def spoil(args):
+        doc, junk, pick = args
+        return {**doc, sorted(doc)[pick % len(doc)]: junk}
+
+    return docs | st.tuples(docs, _JSON, st.integers(0, 9)).map(spoil) | _JSON
+
+
+def _symmetric_rows(upper):
+    rows = [[0.0] * 6 for _ in range(6)]
+    values = iter(upper)
+    for a in range(6):
+        for b in range(a, 6):
+            rows[a][b] = rows[b][a] = next(values)
+    return rows
+
+
+_EYE = [[float(i == j) for j in range(4)] for i in range(4)]
+_STANDARD_J = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
+_CP2 = [
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 3**-0.5, 3**-0.5, 3**-0.5],
+    [0.0, 2**-0.5, -(2**-0.5), 0.0],
+    [0.0, 6**-0.5, 6**-0.5, -((2 / 3) ** 0.5)],
+]
+# rotations, a reflection and a non-orthogonal matrix
+_MATRIX4 = st.sampled_from([_EYE, _CP2, [_EYE[1], _EYE[0], *_EYE[2:]], [[2.0] * 4] * 4])
+_OPERATOR_EXTRAS = {"J": st.sampled_from([_STANDARD_J, _EYE]), "frame": _MATRIX4}
+_OPERATOR_DOC = _spoiled(st.one_of(
+    st.fixed_dictionaries(
+        {"matrix": st.lists(_NUMBER, min_size=21, max_size=21).map(_symmetric_rows)},
+        optional=_OPERATOR_EXTRAS,
+    ),
+    st.fixed_dictionaries(
+        {"components": st.lists(
+            st.fixed_dictionaries(
+                {"ijkl": st.lists(st.integers(1, 4), min_size=4, max_size=4),
+                 "value": _NUMBER}
+            ) | _JSON,
+            max_size=3,
+        )},
+        optional=_OPERATOR_EXTRAS,
+    ),
+    st.fixed_dictionaries(
+        {"builder": st.just("const-hol-sec"), "params": st.lists(_NUMBER, min_size=1, max_size=1)}
+    ),
+    st.fixed_dictionaries(
+        {"builder": st.just("surface-product"), "params": st.lists(_NUMBER, min_size=2, max_size=2)},
+        optional={"frame": _MATRIX4},
+    ),
+))
+# positive scales; a1 may also vanish or be undefined somewhere, or not parse
+_SCALE = st.sampled_from(["1", "2", "exp(x2)", "1+x3^2", "exp(x1*x4)"])
+_A1 = _SCALE | st.sampled_from(["x1", "1/x1", "sqrt(x4)", "x1^100000000", "1+", "y"])
+_METRIC_DOC = _spoiled(st.fixed_dictionaries(
+    {"a1": _A1, "a2": _SCALE, "a3": _SCALE, "a4": _SCALE},
+    optional={"J_field": _spoiled(st.fixed_dictionaries(
+        {"a12": st.sampled_from(["1", "x1", "1/x2"]), "a13": st.just("0"), "a14": st.just("0")}
+    ))},
+))
+_POINT = st.sampled_from(
+    ["0.5,-0.25,0.1,2", "-0.1,0,0,0", "0,0,0,0", "2,0,0,0", "nan,0,0,0", "1,2", "a,b,c,d"]
+)
+_INVOCATION = st.one_of(
+    st.tuples(st.just(["decompose"]), _OPERATOR_DOC, st.none()),
+    st.tuples(st.just(["kahler-check"]), _OPERATOR_DOC,
+              st.none() | _spoiled(st.fixed_dictionaries({"Q": _MATRIX4}))),
+    st.tuples(st.just(["metric-curvature"]), _METRIC_DOC, _POINT),
+    st.tuples(st.just(["theorem", "unitary-product"]), _METRIC_DOC, _POINT),
+)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_INVOCATION)
+def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
+    # every document ends in exit 0, 1 or 2 without an escaping exception,
+    # an input error prints "error: ..." and no report, and a rerun repeats
+    # the output byte for byte
+    command, doc, extra = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [*command, "--input", str(path)]
+        if isinstance(extra, str):
+            argv += ["--point", extra]
+        elif command == ["kahler-check"] and extra is not None:
+            frame = Path(tmp) / "frame.json"
+            frame.write_text(json.dumps(extra))
+            argv += ["--frame", str(frame)]
+        first = _run_main(argv)
+        code, out, err = first
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert _run_main(argv) == first

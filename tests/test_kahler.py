@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,21 @@ def test_build_const_hol_sec_properties():
     # sectional curvatures: c on holomorphic planes, c/4 on totally real ones
     assert op.component(1, 2, 1, 2) == pytest.approx(1.0)
     assert op.component(1, 3, 1, 3) == pytest.approx(0.25)
+
+
+def test_build_const_hol_sec_matches_complex_space_form(rng):
+    # R_ijkl = (c/4)(d_ik d_jl - d_il d_jk + w_ik w_jl - w_il w_jk + 2 w_ij w_kl)
+    # with w_ab = <J e_a, e_b>, entry by entry through component()
+    w = STANDARD_J.T
+    for c in [1.0, -1.0, *rng.uniform(-3.0, 3.0, 5)]:
+        op = build_const_hol_sec(c)
+        for i, j, k, l in itertools.product(range(4), repeat=4):
+            expected = (c / 4.0) * (
+                E[i, k] * E[j, l] - E[i, l] * E[j, k]
+                + w[i, k] * w[j, l] - w[i, l] * w[j, k]
+                + 2.0 * w[i, j] * w[k, l]
+            )
+            assert op.component(i + 1, j + 1, k + 1, l + 1) == expected
 
 
 def test_build_surface_product_cases():

@@ -491,6 +491,25 @@ def test_suite_builds_each_kaehler_quantity_once(sample, monkeypatch):
     assert counts == {name: 1 for name in targets}
 
 
+@pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])
+def test_suite_evaluates_distinct_index_residual_once(sample, monkeypatch):
+    # the sign check and the self-dual classification share one evaluation
+    with open(SAMPLE_DIR / sample, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    op, structure = operator_from_dict(doc), structure_from_dict(doc)
+    calls = Counter()
+    original = curv4.obstructions.distinct_index_residual
+
+    def counted(*args):
+        calls["distinct_index_residual"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(curv4.obstructions, "distinct_index_residual", counted)
+    report = run_obstruction_suite(op, structure)
+    assert report.verdict in (VERDICT_SPECIAL_FRAME, VERDICT_CONFORMALLY_FLAT)
+    assert calls["distinct_index_residual"] == 1
+
+
 def test_suite_report_serializes():
     report = run_obstruction_suite(build_const_hol_sec(1.0))
     doc = report.to_dict()

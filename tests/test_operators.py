@@ -14,6 +14,7 @@ from curv4 import (
     build_surface_product,
     conjugate,
     decompose,
+    distinct_index_components,
     from_components,
     identity_operator,
     induced_map,
@@ -147,6 +148,16 @@ def test_scalar_curvature_values(rng):
         op = random_symmetric6(rng)
         assert scalar_curvature(op) == pytest.approx(
             float(np.trace(ricci(op))), abs=1e-12
+        )
+
+
+def test_distinct_index_components_match_component(rng):
+    for k in range(20):
+        op = random_symmetric6(rng) if k % 2 else random_bianchi(rng)
+        assert distinct_index_components(op) == (
+            op.component(1, 2, 3, 4),
+            op.component(1, 3, 2, 4),
+            op.component(1, 4, 2, 3),
         )
 
 
