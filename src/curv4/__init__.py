@@ -62,7 +62,6 @@ from .kahler import (
     scalar_from_kaehler,
     structure_from_coeffs,
     structure_from_dict,
-    structure_to_dict,
 )
 from .metrics import (
     DiagonalMetric,

@@ -383,13 +383,16 @@ def _flatten(obj, prefix=""):
         if isinstance(obj, str):
             yield name, obj
         else:
-            yield name, json.dumps(obj, default=_json_default)
+            yield name, json.dumps(obj, default=_json_default, allow_nan=False)
 
 
 def emit_report(payload, fmt):
-    """Render a report dict as deterministic text or JSON."""
+    """Render a report dict as deterministic text or JSON; a value that is
+    not finite raises ValueError in both formats."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+        return json.dumps(
+            payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+        )
     return "\n".join(f"{key}: {value}" for key, value in _flatten(payload))
 
 
@@ -421,10 +424,15 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:
             raise InputError("--seed must be nonnegative")
         payload, failed = _DISPATCH[args.command](args)
+        try:
+            report = emit_report(payload, args.format)
+        except ValueError as err:
+            # a finite input whose results overflow double precision
+            raise InputError(f"a report value is not finite: {err}") from err
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(emit_report(payload, args.format))
+    print(report)
     return 1 if failed else 0
 
 

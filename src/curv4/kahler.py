@@ -432,10 +432,6 @@ def random_kahler_pair(rng):
     return r_op, structure
 
 
-def structure_to_dict(structure: ComplexStructure):
-    return {"J": [[float(v) for v in row] for row in structure.matrix]}
-
-
 def structure_from_dict(doc):
     if not isinstance(doc, dict) or "J" not in doc:
         raise ValueError("complex-structure document needs a 'J' key")

@@ -12,24 +12,41 @@ Scale functions live on the closed node set {constant, variable, +, *,
 integer power, exp, reciprocal, square root}; exact differentiation stays
 inside the set (derivatives of square roots only introduce half-integer
 powers, i.e. compositions of sqrt and reciprocal).
+
+sympy is imported the first time a scale function is parsed, differentiated
+or compiled, so the operator commands, which build no metric, never load it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .bivectors import LEX_PAIRS
 from .operators import CurvatureOperator
 
-COORDS = sp.symbols("x1 x2 x3 x4")
-_COORD_BY_NAME = {str(s): s for s in COORDS}
+_COORD_NAMES = ("x1", "x2", "x3", "x4")
 
 MIN_SCALE = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _coords():
+    """The sympy symbols x1..x4, built on first use."""
+    import sympy as sp
+
+    return sp.symbols(_COORD_NAMES)
+
+
+def __getattr__(name):
+    # COORDS is built lazily so that importing this module loads no sympy
+    if name == "COORDS":
+        return _coords()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ParseError(ValueError):
@@ -135,12 +152,14 @@ class _Parser:
         return base
 
     def atom(self):
+        import sympy as sp
+
         kind, text, pos = self._next()
         if kind == "number":
             return sp.Rational(text)
         if kind == "name":
-            if text in _COORD_BY_NAME:
-                return _COORD_BY_NAME[text]
+            if text in _COORD_NAMES:
+                return _coords()[_COORD_NAMES.index(text)]
             if text in ("exp", "sqrt"):
                 kind2, text2, pos2 = self._next()
                 if not (kind2 == "op" and text2 == "("):
@@ -170,9 +189,11 @@ def parse_expression(text):
 
 
 def _validate_expr(expr):
+    import sympy as sp
+
     for node in sp.preorder_traversal(expr):
         if isinstance(node, sp.Symbol):
-            if node not in COORDS:
+            if node not in _coords():
                 raise ValueError(f"unknown variable {node}")
         elif isinstance(node, (sp.Number, sp.NumberSymbol)):
             continue
@@ -199,17 +220,19 @@ class ScalarField:
         elif isinstance(source, str):
             expr = parse_expression(source)
         else:
+            import sympy as sp
+
             expr = sp.sympify(source, strict=isinstance(source, (int, float)))
         _validate_expr(expr)
         self.expr = expr
 
     def diff(self, index):
         """Exact derivative with respect to x_index (1-based)."""
-        return ScalarField(sp.diff(self.expr, COORDS[index - 1]))
+        return ScalarField(self.expr.diff(_coords()[index - 1]))
 
     def __call__(self, point):
         point = _check_point(point)
-        return float(self.expr.evalf(subs=dict(zip(COORDS, point))))
+        return float(self.expr.evalf(subs=dict(zip(_coords(), point))))
 
     def __repr__(self):
         return f"ScalarField({self.expr})"
@@ -242,7 +265,7 @@ class DiagonalMetric:
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = _evaluate(point, sp.Matrix, self.key).reshape(4)
+        vals = _evaluate(point, _column, self.key).reshape(4)
         if not np.all(np.isfinite(vals)) or np.any(vals <= MIN_SCALE):
             raise MetricDomainError(
                 f"scale functions must be positive at {point}; got {vals.tolist()}"
@@ -297,7 +320,7 @@ class JField:
 
     def values(self, point):
         point = _check_point(point)
-        vals = _evaluate(point, sp.Matrix, self.key).reshape(3)
+        vals = _evaluate(point, _column, self.key).reshape(3)
         if not abs(float(vals @ vals) - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(
                 f"structure coefficients must have unit norm at {point}; got {vals.tolist()}"
@@ -305,11 +328,20 @@ class JField:
         return vals
 
 
+def _column(exprs):
+    """Expressions as one column matrix, compiled in one lambdify."""
+    import sympy as sp
+
+    return sp.Matrix(exprs)
+
+
 @lru_cache(maxsize=None)
 def _compiled(build, keys):
     """Numeric evaluator of the expressions build(*keys), one lambdify per
-    (builder, keys); a tuple of fields compiles through build = sp.Matrix."""
-    return sp.lambdify(COORDS, build(*keys), "numpy")
+    (builder, keys); a tuple of fields compiles through build = _column."""
+    import sympy as sp
+
+    return sp.lambdify(_coords(), build(*keys), "numpy")
 
 
 def _evaluate(point, build, *keys):
@@ -324,9 +356,15 @@ def _evaluate(point, build, *keys):
     return np.array(vals, dtype=float)
 
 
+def _require_finite(vals, what, point):
+    # on a dozen values, math over a list costs a third of np.isfinite
+    if not all(map(math.isfinite, vals.tolist())):
+        raise MetricDomainError(f"the {what} are not finite at {point}")
+
+
 def _fd(a, expr, i):
     """Frame derivative e_i(expr) = (1/a_i) d expr / dx_i, symbolically."""
-    return sp.diff(expr, COORDS[i - 1]) / a[i - 1]
+    return expr.diff(_coords()[i - 1]) / a[i - 1]
 
 
 def _gamma_exprs(key):
@@ -336,6 +374,8 @@ def _gamma_exprs(key):
     the diagonal entries spread over the other directions with the opposite
     sign, which makes the table skew in its last two slots.
     """
+    import sympy as sp
+
     a = list(key)
     zero = sp.Integer(0)
     gamma = [[[zero for _ in range(5)] for _ in range(5)] for _ in range(5)]
@@ -366,6 +406,8 @@ def _frame_curvature_exprs(key):
     Pair symmetry R_ijkl = R_klij is *not* imposed here; it holds as an
     identity of the formulas and is checked numerically downstream.
     """
+    import sympy as sp
+
     a = list(key)
     cache = {}
 
@@ -456,8 +498,10 @@ def _coordinate_curvature_exprs(key):
     """Independent route: coordinate Christoffel symbols of g = diag(a_i^2),
     the coordinate curvature tensor, conversion to the associated frame, and
     the sign flip into the convention where R_ijij is sectional curvature."""
+    import sympy as sp
+
     a = list(key)
-    x = COORDS
+    x = _coords()
     g = [ai**2 for ai in a]
     ginv = [1 / gi for gi in g]
 
@@ -505,6 +549,8 @@ def christoffel_oracle(metric: DiagonalMetric, point):
 
 
 def _nabla_j_exprs(metric_key, j_key):
+    import sympy as sp
+
     a = list(metric_key)
     j12, j13, j14 = j_key
 
@@ -531,11 +577,14 @@ def _nabla_j_exprs(metric_key, j_key):
 def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
     """Residuals of the twelve derivative equations a parallel pointwise
     structure must satisfy over an orthogonal chart (four derivative
-    directions times three coefficients); a Kaehler pair zeroes all of them."""
+    directions times three coefficients); a Kaehler pair zeroes all of them.
+    A residual that is not finite at the point is a domain error."""
     point = _check_point(point)
     metric.scale_values(point)
     j_field.values(point)
-    return _evaluate(point, _nabla_j_exprs, metric.key, j_field.key).reshape(12)
+    vals = _evaluate(point, _nabla_j_exprs, metric.key, j_field.key).reshape(12)
+    _require_finite(vals, "nabla J residuals", point)
+    return vals
 
 
 _CROSS_LABELS = (
@@ -546,7 +595,7 @@ _CROSS_LABELS = (
 
 def _cross_derivative_exprs(key):
     a = list(key)
-    return sp.Matrix([
+    return _column([
         _fd(a, a[0], 3), _fd(a, a[0], 4), _fd(a, a[1], 3), _fd(a, a[1], 4),
         _fd(a, a[2], 1), _fd(a, a[2], 2), _fd(a, a[3], 1), _fd(a, a[3], 2),
     ])
@@ -565,10 +614,12 @@ class UnitaryProductReport:
 
 def unitary_product_check(metric: DiagonalMetric, point, tol=1e-10):
     """Check that a1, a2 only depend on (x1, x2) and a3, a4 on (x3, x4) at
-    the point, through the eight frame cross-derivatives."""
+    the point, through the eight frame cross-derivatives; a cross-derivative
+    that is not finite there is a domain error, never a pass."""
     point = _check_point(point)
     metric.scale_values(point)
     vals = _evaluate(point, _cross_derivative_exprs, metric.key).reshape(8)
+    _require_finite(vals, "cross-derivatives", point)
     residuals = dict(zip(_CROSS_LABELS, (float(v) for v in vals)))
     failed = tuple(name for name, v in residuals.items() if abs(v) > tol)
     return UnitaryProductReport(

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_DIR
+from conftest import REPO_ROOT, SAMPLE_DIR
 from curv4.cli import emit_report, main
 
 # Every documented invocation with its contracted exit code; the acceptance
@@ -482,3 +485,93 @@ def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
             assert out == "" and err.startswith("error: ")
         assert "Traceback" not in err
         assert _run_main(argv) == first
+
+
+# --- results that are not finite ------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        # e3(a1) = x4 / (2 sqrt(x3)) is 0/0 at the origin
+        (["theorem", "unitary-product"], {"a1": "1+x4*sqrt(x3)", "a2": "1", "a3": "1", "a4": "1"}),
+        # e2(a12) = 1 / (2 sqrt(x2)) is infinite at the origin
+        (
+            ["metric-curvature"],
+            {"a1": "1", "a2": "1", "a3": "1", "a4": "1",
+             "J_field": {"a12": "1+sqrt(x2)", "a13": "0", "a14": "0"}},
+        ),
+    ],
+)
+def test_non_finite_metric_results_exit_2(args, doc, fmt, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    assert main([*args, "--input", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_overflowing_report_exits_2(fmt, tmp_path, capsys):
+    # finite entries whose norms overflow: the report would read Infinity
+    rows = [[0.0] * 6 for _ in range(6)]
+    rows[0][0] = 1e200
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    assert main(["decompose", "--input", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a report value is not finite")
+
+
+# --- sympy is imported only when a metric is built --------------------------------
+
+_METRIC_COMMANDS = (["metric-curvature"], ["theorem", "unitary-product"])
+_OPERATOR_ARGV = [
+    resolve(args)
+    for args, _ in COMMAND_TABLE
+    if args[:1] not in _METRIC_COMMANDS and args[:2] not in _METRIC_COMMANDS
+]
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import curv4
+seen = {"import": "sympy" in sys.modules, "metrics": "curv4.metrics" in sys.modules}
+from curv4.cli import main
+seen["import_cli"] = "sympy" in sys.modules
+seen["operator"] = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen["operator"].append([code, "sympy" in sys.modules])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    seen["metric_code"] = main(json.loads(sys.argv[2]))
+seen["metric_out"] = out.getvalue()
+seen["metric"] = "sympy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_operator_commands_never_import_sympy():
+    # a fresh interpreter, since this one may already hold sympy
+    assert len(_OPERATOR_ARGV) == 9
+    metric_argv = resolve(
+        ["metric-curvature", "--input", "product_metric.json", "--point", "0.1,0.2,-0.1,0.05"]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_OPERATOR_ARGV), json.dumps(metric_argv)],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] is False and seen["import_cli"] is False
+    assert seen["metrics"] is True
+    expected = [code for args, code in COMMAND_TABLE if resolve(args) in _OPERATOR_ARGV]
+    assert seen["operator"] == [[code, False] for code in expected]
+    assert seen["metric"] is True
+    assert (seen["metric_code"], seen["metric_out"], "") == _run_main(metric_argv)
