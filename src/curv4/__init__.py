@@ -57,7 +57,6 @@ from .kahler import (
     from_unitary_frame,
     kaehler_block_form,
     kaehler_residuals,
-    normalize_coeffs,
     random_kahler_pair,
     scalar_from_kaehler,
     structure_from_coeffs,

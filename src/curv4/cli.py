@@ -72,8 +72,9 @@ def _build_parser():
         p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--format", choices=("text", "json"), default="text")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--restarts", type=int, default=32)
+            # accepted for compatibility; the frame is built in closed form
+            p.add_argument("--seed", type=int, default=0, help="accepted; no effect")
+            p.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
 
     p = sub.add_parser("decompose", help="split an operator into its five invariant parts")
     p.add_argument("--input", required=True)
@@ -89,7 +90,7 @@ def _build_parser():
     p.add_argument("--point", default="0,0,0,0")
     common(p)
 
-    p = sub.add_parser("frame-search", help="search SO(4) for a distinct-index-free frame")
+    p = sub.add_parser("frame-search", help="closed-form frame with the smallest distinct-index residual")
     p.add_argument("--input", required=True)
     common(p, seeded=True)
 

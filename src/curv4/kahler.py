@@ -15,7 +15,6 @@ zero and collapses three blocks of the operator to rank one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,40 +382,6 @@ def build_surface_product(k1, k2):
     """
     r_op = from_components([(1, 2, 1, 2, float(k1)), (3, 4, 3, 4, float(k2))])
     return r_op, from_unitary_frame()
-
-
-def normalize_coeffs(structure: ComplexStructure, q: FrameRotation):
-    """Compose q with a signed axis permutation so that a12 > 0, a13 >= 0
-    and a14 >= 0; returns (coefficients, move used).
-
-    Orientation-preserving moves realize only even signed permutations of
-    the coefficient triple, so the order of the entries is not free: among
-    the reachable all-nonnegative images the lexicographically largest one
-    is chosen.  The move P satisfies
-    coeffs_in_frame(structure, Q P) == returned coeffs; nothing in this
-    module reorders frames implicitly.
-    """
-    best = None
-    for perm in itertools.permutations(range(4)):
-        base = np.zeros((4, 4))
-        base[list(perm), range(4)] = 1.0
-        for signs in itertools.product((1.0, -1.0), repeat=4):
-            p = base * np.array(signs)
-            if np.linalg.det(p) < 0.0:
-                continue
-            candidate = FrameRotation(q.matrix @ p)
-            try:
-                coeffs = coeffs_in_frame(structure, candidate)
-            except ValueError:
-                continue
-            triple = (coeffs.a12, coeffs.a13, coeffs.a14)
-            if triple[0] <= 0.0 or min(triple[1:]) < -1e-12:
-                continue
-            if best is None or triple > best[0]:
-                best = (triple, coeffs, FrameRotation(p))
-    if best is None:
-        raise AssertionError("no normalizing axis permutation found")
-    return best[1], best[2]
 
 
 def random_kahler_pair(rng):

@@ -1,16 +1,18 @@
 """Executable obstructions to frames arising from orthogonal coordinates.
 
 A frame coming from orthogonal coordinates forces R_ijkl = 0 whenever all
-four indices are distinct.  This module searches SO(4) for such frames,
-checks the scalar-curvature sign relations a Kaehler operator must then
+four indices are distinct.  This module builds the frame minimizing those
+components in closed form (two Givens rotations per Weyl block), checks
+the scalar-curvature sign relations a Kaehler operator must then
 satisfy, classifies self-dual Kaehler operators (either scalar-flat and
 conformally flat, or all structure coefficients squared equal 1/3), solves
 the exact linear systems on the logarithmic derivative constants c_1..c_4
 arising in the special frame, and certifies the Ricci-flat obstruction as
 a finite-dimensional nullspace computation.
 
-Numerical searches never claim nonexistence: a residual stuck above
-tolerance is reported as "inconclusive".
+A residual above tolerance is reported as "inconclusive", never as
+nonexistence.  The closed-form frame attains the floor 3 beta^2 that the
+star component beta imposes on every frame, so no other frame does better.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .bivectors import FrameRotation, induced_map, random_rotation
+from .bivectors import FrameRotation, induced_rotation, wedge
 from .kahler import (
     ComplexStructure,
     KahlerCoeffs,
@@ -35,6 +37,7 @@ from .kahler import (
 )
 from .operators import (
     CurvatureOperator,
+    adapted_form,
     bianchi_defect,
     decompose,
     distinct_index_components,
@@ -89,15 +92,7 @@ def skew_from_params(theta):
 
 
 # ---------------------------------------------------------------------------
-# Distinct-index residual and its minimization over SO(4).
-
-
-def _residual_raw(m, qmat):
-    l = induced_map(qmat)
-    r1234 = l[:, 0] @ m @ l[:, 5]
-    r1324 = l[:, 1] @ m @ l[:, 4]
-    r1423 = l[:, 2] @ m @ l[:, 3]
-    return float(r1234 * r1234 + r1324 * r1324 + r1423 * r1423)
+# Distinct-index residual and the closed-form frame that minimizes it.
 
 
 def distinct_index_residual(r_op, q: FrameRotation):
@@ -105,16 +100,23 @@ def distinct_index_residual(r_op, q: FrameRotation):
     frame; zero exactly when the frame satisfies the necessary condition for
     orthogonal coordinates.
 
-    The alternating sum R_1234 - R_1324 + R_1423 equals three times the
-    Bianchi defect in every frame, so the residual can never drop below
-    3 beta^2 for an operator with star component beta; for operators
-    satisfying the Bianchi identity the two effective degrees of freedom
-    can always be zeroed in some frame (the two Weyl blocks rotate
-    independently, and a traceless symmetric matrix can always be rotated
-    to have zero diagonal).  The information carried by the condition is
-    therefore *which* frames achieve it, not whether one exists.
+    In the adapted basis of any frame (R_1234, -R_1324, R_1423) equals
+    (diag A - diag C)/2, where A and C are the self-dual and anti-self-dual
+    diagonal blocks, so the residual can never drop below 3 beta^2 for an
+    operator with star component beta (tr A - tr C = 6 beta).  The two
+    blocks rotate independently, and every symmetric 3x3 matrix can be
+    rotated to a constant diagonal, so that floor is always attained: 0 for
+    every operator satisfying the Bianchi identity.  The information carried
+    by the condition is therefore *which* frames achieve it, not whether one
+    exists.
     """
-    return _residual_raw(r_op.matrix, q.matrix)
+    l = induced_rotation(q)
+    return _sum_of_squares(CurvatureOperator(l.T @ r_op.matrix @ l))
+
+
+def _sum_of_squares(rotated):
+    # the residual of the frame an operator's components already refer to
+    return float(sum(c * c for c in distinct_index_components(rotated)))
 
 
 @dataclass(frozen=True)
@@ -125,69 +127,90 @@ class FrameSearchResult:
     conclusive: bool
 
 
-def _descend(m, q, max_iterations):
-    """Gradient descent with backtracking on the six skew parameters,
-    composed onto the incumbent frame; central differences, fixed h."""
-    h = 1e-6
-    step = 1.0
-    val = _residual_raw(m, q)
-    grad = np.empty(6)
-    probe = np.zeros(6)
-    for _ in range(max_iterations):
-        if val <= 1e-28:
-            break
-        for a in range(6):
-            probe[:] = 0.0
-            probe[a] = h
-            fp = _residual_raw(m, q @ so4_exp(probe))
-            probe[a] = -h
-            fm = _residual_raw(m, q @ so4_exp(probe))
-            grad[a] = (fp - fm) / (2.0 * h)
-        gn2 = float(grad @ grad)
-        if gn2 == 0.0:
-            break
-        alpha = step
-        for _ in range(45):
-            cand = q @ so4_exp(-alpha * grad)
-            cval = _residual_raw(m, cand)
-            if cval <= val - 1e-4 * alpha * gn2:
-                break
-            alpha *= 0.5
-        else:
-            break  # within finite-difference noise of a local minimum
-        q, val = cand, cval
-        step = min(alpha * 2.0, 1e4)
-    return q, val
+def _constant_diagonal_rotation(block, gens, sign, tol):
+    """The rotation of SO(4) that turns one symmetric 3x3 adapted block to
+    the constant diagonal tr/3 and fixes the other (a constructive
+    Schur-Horn step).  The plane (a, b) of the largest and smallest diagonal
+    entries turns until entry a equals the mean, then the remaining pair,
+    whose mean is then the mean.  Turning plane (a, b) of the block by t
+    (G_aa = G_bb = cos t, G_ba = -G_ab = sin t) is the isoclinic factor of
+    generator k = 3 - a - b with parameter sign * eps_abk * t / 2."""
+    d = np.diag(block)
+    q = _EYE4
+    if np.ptp(d) <= tol:
+        return q
+    mu = float(np.trace(block)) / 3.0
+    i, j = int(np.argmax(d)), int(np.argmin(d))
+    for a, b in ((i, j), (j, 3 - i - j)):
+        h, mean = (block[a, a] - block[b, b]) / 2.0, (block[a, a] + block[b, b]) / 2.0
+        rho = float(np.hypot(h, block[a, b]))
+        if rho == 0.0:
+            continue
+        t = 0.5 * (np.arctan2(block[a, b], h) + np.arccos(np.clip((mu - mean) / rho, -1.0, 1.0)))
+        g = np.eye(3)
+        g[[a, b], [a, b]] = np.cos(t)
+        g[b, a], g[a, b] = np.sin(t), -np.sin(t)
+        block = g.T @ block @ g
+        k = 3 - a - b
+        v = np.zeros(3)
+        v[k] = sign * ((a - b) * (b - k) * (k - a) // 2) * t / 2.0  # eps_abk
+        q = q @ _iso_exp(v, gens)
+    return q
 
 
-def frame_search(r_op, restarts=32, seed=0, tol=1e-10, max_iterations=300):
-    """Multi-start minimization of the distinct-index residual over SO(4).
+def _wedge_residual(m, q):
+    """The distinct-index residual paired from wedge products of the frame
+    columns, R_ijkl = <R(f_i ^ f_j), f_k ^ f_l>; shares no code with
+    induced_map."""
+    f = q.T
+    total = 0.0
+    for i, j, k, l in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        total += float(wedge(f[k], f[l]).coeffs @ m @ wedge(f[i], f[j]).coeffs) ** 2
+    return total
 
-    Deterministic for fixed (operator, restarts, seed).  The returned
-    residual is compared against ``tol`` scaled by the squared operator
-    norm; failure to reach it means "inconclusive", never nonexistence.
+
+def frame_search(r_op, restarts=32, seed=0, tol=1e-10):
+    """The frame minimizing the distinct-index residual, in closed form.
+
+    Starting from the explicit frame of :func:`cp2_example_frame`, each
+    diagonal block of the adapted form is rotated to a constant diagonal by
+    two Givens rotations, lifted to SO(4) through the isoclinic factor that
+    moves only that block.  The residual is then 3 beta^2 up to rounding,
+    the floor every frame obeys: 0 for an operator satisfying the Bianchi
+    identity.  The CP^2 start keeps the explicit frame when it already
+    qualifies, and keeps a block that is already constant where it is (the
+    zero self-dual block of a scalar-flat Kaehler operator leaves the
+    structure coefficients off the axes).
+
+    The returned residual is recomputed from wedge products of the frame
+    columns and must agree with :func:`distinct_index_residual`.  It is
+    compared against ``tol`` scaled by the squared operator norm; failure to
+    reach it means "inconclusive", never nonexistence.  ``restarts`` (at
+    least 1) and ``seed`` (nonnegative) are accepted for compatibility and
+    do not change the result; ``restart_index`` is always 0.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    scale = max(1.0, r_op.norm())
-    m = r_op.matrix / scale
-    rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best_q = _EYE4
-    best_index = -1
-    for index in range(restarts):
-        q0 = random_rotation(rng).matrix
-        q, val = _descend(m, q0, max_iterations)
-        if val < best_val:
-            best_val, best_q, best_index = val, q, index
-        if best_val <= 1e-28:
-            break
-    residual = best_val * scale * scale
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    norm = r_op.norm()
+    q0 = cp2_example_frame()
+    adapted = adapted_form(r_op, q0)
+    noise = 1e-15 * norm  # a block this close to constant stays put
+    frame = FrameRotation(
+        q0.matrix
+        @ _constant_diagonal_rotation(adapted[:3, :3], _GENERATORS[:3], 1.0, noise)
+        @ _constant_diagonal_rotation(adapted[3:, 3:], _GENERATORS[3:], -1.0, noise)
+    )
+    residual = _wedge_residual(r_op.matrix, frame.matrix)
+    scale = max(1.0, norm)
+    if abs(residual - distinct_index_residual(r_op, frame)) > 1e-10 * scale * scale:
+        raise AssertionError("wedge pairing and rotated components disagree on the residual")
     return FrameSearchResult(
-        frame=FrameRotation(best_q),
-        residual=float(residual),
-        restart_index=best_index,
-        conclusive=bool(residual <= tol * max(1.0, scale * scale)),
+        frame=frame,
+        residual=residual,
+        restart_index=0,
+        conclusive=bool(residual <= tol * scale * scale),
     )
 
 
@@ -231,7 +254,7 @@ def scalar_sign_check(r_op, structure, q: FrameRotation, tol=1e-9):
     pair sums R_1212+R_3434, R_1313+R_2424, R_1414+R_2323 equal (r/2) a_1j^2,
     hence share the sign of the scalar curvature."""
     view = KahlerFrameView(r_op, structure, q)
-    return _sign_report(view, distinct_index_residual(r_op, q), tol)
+    return _sign_report(view, _sum_of_squares(view.rotated), tol)
 
 
 def _sign_report(view, dres, tol):
@@ -294,15 +317,16 @@ def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=Non
     analysis attached).  Any other outcome contradicts the block form and
     is flagged as a violation.
 
-    ``coeff_tol`` bounds |a_1j^2 - 1/3| separately, since coefficients
-    recovered from a numerical frame search carry roughly the square root
-    of the residual's accuracy.
+    ``coeff_tol`` bounds |a_1j^2 - 1/3| separately: a frame whose
+    distinct-index residual is eps pins the coefficients only to about
+    sqrt(eps).  The closed-form frame of :func:`frame_search` reaches a
+    residual at rounding level, but a supplied frame need only meet ``tol``.
     """
     dec = decompose(r_op)
     if dec.weyl_minus.norm() > tol * max(1.0, r_op.norm()):
         raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
     view = KahlerFrameView(r_op, structure, q)
-    return _classify(view, dec, distinct_index_residual(r_op, q), tol, coeff_tol)
+    return _classify(view, dec, _sum_of_squares(view.rotated), tol, coeff_tol)
 
 
 def _classify(view, dec, dres, tol, coeff_tol):
@@ -571,14 +595,16 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
 
 
 def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, seed=0):
-    """frame search -> Kaehler residuals -> scalar-sign relations -> the
+    """closed-form frame -> Kaehler residuals -> scalar-sign relations -> the
     branch the operator belongs to (self-dual classification or Ricci-flat
     certificate), aggregated into one report.
 
     Verdicts: "flat" (zero operator), "conformally-flat-branch" or
     "special-frame-branch" (self-dual classification), "violation"
     (numerically inconsistent certificates), "inconclusive" (no qualifying
-    frame found, or the covered theorems do not apply).
+    frame found, or the covered theorems do not apply).  ``restarts`` and
+    ``seed`` are passed to :func:`frame_search`, whose result they do not
+    change.
     """
     structure = structure if structure is not None else from_unitary_frame()
     scale = max(1.0, r_op.norm())
@@ -587,6 +613,9 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
         return ObstructionReport(
             verdict=VERDICT_FLAT, residuals=residuals, tolerance=tolerance
         )
+    if scale == np.inf:  # every check scaled by it would pass
+        notes = ("the operator norm overflows double precision",)
+        return ObstructionReport(VERDICT_INCONCLUSIVE, residuals, tolerance, notes=notes)
 
     search = frame_search(r_op, restarts=restarts, seed=seed, tol=1e-10)
     residuals["distinct_index_residual"] = search.residual
@@ -616,7 +645,7 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
             notes=("operator is not Kaehler for the supplied structure",),
         )
 
-    dres = distinct_index_residual(r_op, q)
+    dres = search.residual  # already cross-checked by frame_search
     residuals["scalar_relation_deviation"] = _sign_report(view, dres, tolerance).max_deviation
 
     dec = decompose(r_op)

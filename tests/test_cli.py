@@ -444,8 +444,14 @@ _METRIC_DOC = _spoiled(st.fixed_dictionaries(
 _POINT = st.sampled_from(
     ["0.5,-0.25,0.1,2", "-0.1,0,0,0", "0,0,0,0", "2,0,0,0", "nan,0,0,0", "1,2", "a,b,c,d"]
 )
+# the search flags are accepted and do not change the result; 0 restarts exits 2
+_SEARCH_FLAGS = st.sampled_from(
+    [[], ["--restarts", "1"], ["--restarts", "4", "--seed", "7"], ["--restarts", "0"]]
+)
 _INVOCATION = st.one_of(
     st.tuples(st.just(["decompose"]), _OPERATOR_DOC, st.none()),
+    st.tuples(st.just(["frame-search"]), _OPERATOR_DOC, _SEARCH_FLAGS),
+    st.tuples(st.just(["theorem", "self-dual"]), _OPERATOR_DOC, _SEARCH_FLAGS),
     st.tuples(st.just(["kahler-check"]), _OPERATOR_DOC,
               st.none() | _spoiled(st.fixed_dictionaries({"Q": _MATRIX4}))),
     st.tuples(st.just(["metric-curvature"]), _METRIC_DOC, _POINT),
@@ -460,7 +466,7 @@ def _run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_INVOCATION)
 def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
@@ -478,6 +484,8 @@ def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
             frame = Path(tmp) / "frame.json"
             frame.write_text(json.dumps(extra))
             argv += ["--frame", str(frame)]
+        elif extra is not None:
+            argv += extra  # the search flags
         first = _run_main(argv)
         code, out, err = first
         assert code in (0, 1, 2)

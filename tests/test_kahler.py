@@ -20,7 +20,6 @@ from curv4 import (
     induced_rotation,
     kaehler_block_form,
     kaehler_residuals,
-    normalize_coeffs,
     random_kahler_pair,
     random_rotation,
     ricci,
@@ -318,19 +317,3 @@ def test_scalar_flat_selfdual_forces_scalar_zero(rng):
             hits += 1
             assert abs(dec.r) <= 1e-7
     assert hits >= 15
-
-
-def test_normalize_coeffs(rng):
-    j = from_unitary_frame()
-    for _ in range(10):
-        q = random_rotation(rng)
-        coeffs, move = normalize_coeffs(j, q)
-        a = coeffs.as_array()
-        assert a[0] > 0
-        assert a[1] >= -1e-12 and a[2] >= -1e-12
-        # the multiset of absolute values is frame-move invariant
-        before = sorted(np.abs(coeffs_in_frame(j, q).as_array()))
-        np.testing.assert_allclose(sorted(np.abs(a)), before, atol=1e-12)
-        combined = FrameRotation(q.matrix @ move.matrix)
-        again = coeffs_in_frame(j, combined)
-        np.testing.assert_allclose(again.as_array(), a, atol=1e-12)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import curv4
-from conftest import SAMPLE_DIR, random_bianchi
+from conftest import SAMPLE_DIR, random_bianchi, random_symmetric6
 from curv4 import (
     ADAPTED_IDENTITY,
     ComplexStructure,
     CurvatureOperator,
+    HODGE_MATRIX,
     FrameRotation,
     KahlerCoeffs,
     NonKahlerError,
@@ -199,6 +200,69 @@ def test_frame_search_surface_product():
 def test_frame_search_rejects_bad_restarts():
     with pytest.raises(ValueError):
         frame_search(identity_operator(), restarts=0)
+
+
+def _components_in_frame(op, q):
+    rc = conjugate(op, q)
+    return np.array(
+        [rc.component(1, 2, 3, 4), rc.component(1, 3, 2, 4), rc.component(1, 4, 2, 3)]
+    )
+
+
+def test_closed_form_frame_zeroes_bianchi_operators_at_every_scale():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        op = random_bianchi(rng, scale)
+        result = frame_search(op)
+        assert result.conclusive
+        assert result.residual <= 1e-28 * scale**2
+        assert np.sum(_components_in_frame(op, result.frame) ** 2) <= 1e-28 * scale**2
+
+
+def test_closed_form_frame_attains_the_star_floor():
+    # tr A - tr C = 6 beta in the adapted basis of every frame, so no frame
+    # gets below 3 beta^2, and the closed form reaches exactly that
+    rng = np.random.default_rng(78)
+    tol = 1e-10
+    inconclusive = 0
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        op = random_symmetric6(rng, scale)
+        beta = float(np.sum(op.matrix * HODGE_MATRIX)) / 6.0
+        result = frame_search(op, tol=tol)
+        assert abs(result.residual - 3.0 * beta**2) <= 1e-12 * scale**2
+        if 3.0 * beta**2 > tol * max(1.0, op.norm()) ** 2:
+            assert not result.conclusive
+            inconclusive += 1
+    assert inconclusive >= 150
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_frame_search_returns_the_cp2_frame(c):
+    result = frame_search(build_const_hol_sec(c))
+    np.testing.assert_allclose(result.frame.matrix, cp2_example_frame().matrix, atol=1e-12)
+    assert result.residual <= 1e-30
+
+
+def test_frame_search_ignores_restarts_and_seed(rng):
+    op = random_bianchi(rng)
+    base = frame_search(op)
+    for restarts, seed in ((1, 0), (8, 3), (32, 12345)):
+        other = frame_search(op, restarts=restarts, seed=seed)
+        assert np.array_equal(other.frame.matrix, base.frame.matrix)
+        assert other.residual == base.residual and other.restart_index == 0
+    with pytest.raises(ValueError):
+        frame_search(op, seed=-1)
+
+
+def test_frame_search_cross_checks_the_residual(monkeypatch):
+    original = curv4.obstructions.distinct_index_residual
+    monkeypatch.setattr(
+        curv4.obstructions, "distinct_index_residual", lambda op, q: original(op, q) + 1e-6
+    )
+    with pytest.raises(AssertionError, match="wedge"):
+        frame_search(build_const_hol_sec(1.0))
 
 
 # --- scalar sign relations ---------------------------------------------------------
@@ -464,6 +528,17 @@ def test_suite_ricci_flat_family_reports_dimension():
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.residuals["distinct_index_residual"] <= 1e-10
     assert report.residuals["ricciflat_nullspace_dimension"] == 3
+
+
+def test_suite_is_inconclusive_when_the_norm_overflows():
+    # not Kaehler (R_1313 != R_2424), and it has a distinct-free frame, so
+    # only the overflowing scale max(1, ||R||) = inf could let it pass
+    m = np.zeros((6, 6))
+    m[0, 0], m[1, 1] = 1e200, -3e199
+    with np.errstate(over="ignore"):
+        report = run_obstruction_suite(CurvatureOperator(m))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.notes == ("the operator norm overflows double precision",)
 
 
 @pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])
