@@ -16,12 +16,9 @@ from .bivectors import (
     PAIR_SECOND,
     Bivector,
     FrameRotation,
-    adapted_basis,
-    adapted_matrix,
     hodge_star,
     induced_map,
     induced_rotation,
-    orientation_flip,
     random_rotation,
     sd_project,
     wedge,
@@ -35,13 +32,10 @@ from .operators import (
     decompose,
     distinct_index_components,
     from_components,
-    identity_operator,
     operator_from_dict,
-    operator_to_dict,
     ricci,
     s_map,
     scalar_curvature,
-    star_operator,
     weyl_block,
 )
 from .kahler import (
@@ -74,9 +68,7 @@ from .metrics import (
     curvature_at,
     frame_curvature_raw,
     metric_from_dict,
-    metric_to_dict,
     nabla_J_residuals,
-    parse_scalar_field,
     unitary_product_check,
 )
 from .obstructions import (
@@ -95,5 +87,4 @@ from .obstructions import (
     run_obstruction_suite,
     scalar_sign_check,
     selfdual_classify,
-    so4_exp,
 )

@@ -123,7 +123,7 @@ class FrameRotation:
     Orientation-reversing matrices are rejected: the self-dual and
     anti-self-dual subspaces swap under a change of orientation, so a
     reflection silently accepted here would corrupt every downstream
-    splitting.  Use :func:`orientation_flip` when a reversal is meant.
+    splitting.
     """
 
     matrix: np.ndarray
@@ -158,13 +158,6 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q = q[:, [1, 0, 2, 3]]
     return FrameRotation(q)
-
-
-def orientation_flip():
-    """The explicit axis swap e3 <-> e4 (determinant -1), as a plain matrix."""
-    m = np.eye(4)
-    m[[2, 3]] = m[[3, 2]]
-    return m
 
 
 # Entry ((k, l), (i, j)) of induced_map(A) is A_ki A_lj - A_li A_kj.
@@ -206,18 +199,3 @@ ADAPTED_IDENTITY = np.array(
     dtype=float,
 ) / _SQRT2
 ADAPTED_IDENTITY.flags.writeable = False
-
-
-def adapted_matrix(q: FrameRotation):
-    """6x6 matrix whose columns are the adapted-basis bivectors of q's frame."""
-    return induced_rotation(q) @ ADAPTED_IDENTITY
-
-
-def adapted_basis(q: FrameRotation):
-    """Orthonormal basis of six bivectors adapted to the rotated frame.
-
-    The first three span the self-dual subspace, the last three the
-    anti-self-dual one; the Hodge star is diag(1,1,1,-1,-1,-1) in it.
-    """
-    m = adapted_matrix(q)
-    return [Bivector(m[:, k]) for k in range(6)]

@@ -424,12 +424,15 @@ def main(argv=None):
             raise InputError("--restarts must be at least 1")
         if getattr(args, "seed", 0) < 0:
             raise InputError("--seed must be nonnegative")
-        payload, failed = _DISPATCH[args.command](args)
-        try:
-            report = emit_report(payload, args.format)
-        except ValueError as err:
-            # a finite input whose results overflow double precision
-            raise InputError(f"a report value is not finite: {err}") from err
+        # every reported value is checked finite, so numpy's own warnings
+        # about overflow or division by zero would only precede that verdict
+        with np.errstate(all="ignore"):
+            payload, failed = _DISPATCH[args.command](args)
+            try:
+                report = emit_report(payload, args.format)
+            except ValueError as err:
+                # a finite input whose results overflow double precision
+                raise InputError(f"a report value is not finite: {err}") from err
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivectors import (
+    ADAPTED_IDENTITY,
     PAIR_FIRST,
     PAIR_SECOND,
     Bivector,
@@ -30,7 +31,6 @@ from .bivectors import (
 )
 from .operators import (
     CurvatureOperator,
-    adapted_form,
     conjugate,
     distinct_index_components,
     from_components,
@@ -302,7 +302,8 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
     coeffs = view.coeffs
     a = coeffs.as_array()
 
-    ad = adapted_form(r_op, q)
+    # the adapted basis of q is the identity frame's one for the rotated operator
+    ad = ADAPTED_IDENTITY.T @ view.rotated.matrix @ ADAPTED_IDENTITY
     plus = ad[:3, :3]
     cross = ad[:3, 3:]
     minus = ad[3:, 3:]

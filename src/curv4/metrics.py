@@ -42,13 +42,6 @@ def _coords():
     return sp.symbols(_COORD_NAMES)
 
 
-def __getattr__(name):
-    # COORDS is built lazily so that importing this module loads no sympy
-    if name == "COORDS":
-        return _coords()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ParseError(ValueError):
     """Syntax error in a scale-function expression, with a 1-based column."""
 
@@ -210,36 +203,21 @@ def _validate_expr(expr):
 
 
 class ScalarField:
-    """Scalar function of x1..x4 on the restricted symbolic node set."""
+    """Scalar function of x1..x4 on the restricted symbolic node set, parsed
+    from a string in the documented grammar."""
 
     __slots__ = ("expr",)
 
     def __init__(self, source):
         if isinstance(source, ScalarField):
             expr = source.expr
-        elif isinstance(source, str):
-            expr = parse_expression(source)
         else:
-            import sympy as sp
-
-            expr = sp.sympify(source, strict=isinstance(source, (int, float)))
-        _validate_expr(expr)
+            expr = parse_expression(source)
+            _validate_expr(expr)
         self.expr = expr
-
-    def diff(self, index):
-        """Exact derivative with respect to x_index (1-based)."""
-        return ScalarField(self.expr.diff(_coords()[index - 1]))
-
-    def __call__(self, point):
-        point = _check_point(point)
-        return float(self.expr.evalf(subs=dict(zip(_coords(), point))))
 
     def __repr__(self):
         return f"ScalarField({self.expr})"
-
-
-def parse_scalar_field(text):
-    return ScalarField(text)
 
 
 def _check_point(point):
@@ -297,13 +275,6 @@ def metric_from_dict(doc):
                 raise ValueError(f"J_field is missing {name!r}")
         j_field = JField(str(jdoc["a12"]), str(jdoc["a13"]), str(jdoc["a14"]))
     return metric, j_field
-
-
-def metric_to_dict(metric: DiagonalMetric):
-    doc = {f"a{i + 1}": str(metric.scales[i].expr) for i in range(4)}
-    if metric.domain_note:
-        doc["domain_note"] = metric.domain_note
-    return doc
 
 
 class JField:

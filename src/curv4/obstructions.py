@@ -53,8 +53,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# SO(4) parameterization: exp of a skew matrix, split into the two isoclinic
-# (left/right quaternion) factors, each a two-term closed form.
+# The two isoclinic (left/right quaternion) factors of SO(4): the exponential
+# of a combination of either generator triple, each a two-term closed form.
 
 _GENERATORS = np.array(
     [
@@ -76,19 +76,6 @@ def _iso_exp(v, gens):
     n = float(np.linalg.norm(v))
     k = np.tensordot(v, gens, axes=1)
     return np.cos(n) * _EYE4 + np.sinc(n / np.pi) * k
-
-
-def so4_exp(theta):
-    """exp of the skew 4x4 matrix with the given six parameters."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (6,):
-        raise ValueError("expected six skew parameters")
-    return _iso_exp(theta[:3], _GENERATORS[:3]) @ _iso_exp(theta[3:], _GENERATORS[3:])
-
-
-def skew_from_params(theta):
-    """The skew matrix sum theta_a G_a itself (so4_exp(theta) = exp of it)."""
-    return np.tensordot(np.asarray(theta, dtype=float), _GENERATORS, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +552,11 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
     conditions are linear in the triple, so their rows are the triple times
     the rows of the three axis structures, read off ``kaehler_residuals``.
     """
-    if isinstance(coeffs, KahlerCoeffs):
-        triple = coeffs
-    else:
-        vals = tuple(float(v) for v in coeffs)
-        if len(vals) != 3:
-            raise ValueError("expected a coefficient triple")
-        triple = KahlerCoeffs(*vals)  # raises for non-unit triples
+    vals = tuple(float(v) for v in coeffs)
+    if len(vals) != 3:
+        raise ValueError("expected a coefficient triple")
+    a12, a13, a14 = KahlerCoeffs(*vals).as_array()  # raises for non-unit triples
     bianchi, axis_lines, ricci_rows, distinct = _constraint_blocks()
-    a12, a13, a14 = triple.as_array()
     lines = a12 * axis_lines[0] + a13 * axis_lines[1] + a14 * axis_lines[2]
     rows = [bianchi, lines, ricci_rows]
     if include_distinct_index:
@@ -607,15 +590,13 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9, restarts=32, see
     change.
     """
     structure = structure if structure is not None else from_unitary_frame()
-    scale = max(1.0, r_op.norm())
-    residuals = {"operator_norm": r_op.norm()}
-    if r_op.norm() <= tolerance:
+    norm = r_op.norm()
+    scale = max(1.0, norm)
+    residuals = {"operator_norm": norm}
+    if norm <= tolerance:
         return ObstructionReport(
             verdict=VERDICT_FLAT, residuals=residuals, tolerance=tolerance
         )
-    if scale == np.inf:  # every check scaled by it would pass
-        notes = ("the operator norm overflows double precision",)
-        return ObstructionReport(VERDICT_INCONCLUSIVE, residuals, tolerance, notes=notes)
 
     search = frame_search(r_op, restarts=restarts, seed=seed, tol=1e-10)
     residuals["distinct_index_residual"] = search.residual

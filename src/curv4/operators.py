@@ -27,13 +27,16 @@ from .bivectors import (
     PAIR_FIRST,
     PAIR_SECOND,
     FrameRotation,
-    adapted_matrix,
     induced_rotation,
     pair_slot,
     unit_sign,
 )
 
 SYMMETRY_TOL = 1e-12
+
+# Below this largest entry the 36 squares summed by the Frobenius norm
+# cannot overflow, so only larger operators are checked.
+_NORM_SAFE_ENTRY = 1e150
 
 
 class CurvatureOperator:
@@ -51,6 +54,10 @@ class CurvatureOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("curvature operator entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
+        if scale > _NORM_SAFE_ENTRY:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(m)):
+                    raise ValueError("curvature operator norm overflows double precision")
         defect = float(np.max(np.abs(m - m.T)))
         if defect > SYMMETRY_TOL * scale:
             raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
@@ -88,14 +95,6 @@ class CurvatureOperator:
 
     def __repr__(self):
         return f"CurvatureOperator({self.matrix.tolist()})"
-
-
-def identity_operator():
-    return CurvatureOperator(np.eye(6))
-
-
-def star_operator():
-    return CurvatureOperator(HODGE_MATRIX)
 
 
 def from_components(components):
@@ -277,8 +276,9 @@ def conjugate(r_op, q: FrameRotation):
 
 
 def adapted_form(r_op, q: FrameRotation):
-    """The 6x6 matrix of R in the adapted basis of the rotated frame."""
-    a = adapted_matrix(q)
+    """The 6x6 matrix of R in the adapted basis of the rotated frame: the
+    self-dual bivectors first, then the anti-self-dual ones."""
+    a = induced_rotation(q) @ ADAPTED_IDENTITY
     return a.T @ r_op.matrix @ a
 
 
@@ -294,10 +294,6 @@ def weyl_block(r_op, sign, q: FrameRotation):
     reduced = CurvatureOperator(r_op.matrix - beta * HODGE_MATRIX)
     ad = adapted_form(reduced, q)
     return ad[:3, :3] if s > 0 else ad[3:, 3:]
-
-
-def operator_to_dict(r_op):
-    return {"basis": "lex12-34", "matrix": [[float(v) for v in row] for row in r_op.matrix]}
 
 
 def operator_from_dict(doc):

@@ -7,18 +7,19 @@ from curv4 import (
     ADAPTED_IDENTITY,
     HODGE_MATRIX,
     Bivector,
+    CurvatureOperator,
     FrameRotation,
-    adapted_basis,
+    adapted_form,
     hodge_star,
     induced_map,
     induced_rotation,
-    orientation_flip,
     random_rotation,
     sd_project,
     wedge,
 )
 
 E = np.eye(4)
+SWAP_E3_E4 = E[[0, 1, 3, 2]]  # the orientation-reversing axis swap e3 <-> e4
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vec4 = st.tuples(finite, finite, finite, finite)
@@ -107,7 +108,9 @@ def test_frame_rotation_validation():
     reflection = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         FrameRotation(reflection)
-    assert np.linalg.det(orientation_flip()) == pytest.approx(-1.0)
+    assert np.linalg.det(SWAP_E3_E4) == pytest.approx(-1.0)
+    with pytest.raises(ValueError, match="determinant"):
+        FrameRotation(SWAP_E3_E4)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -126,23 +129,19 @@ def test_random_rotation_is_valid(rng):
 
 
 def test_adapted_basis_identity_first_element():
-    first = adapted_basis(FrameRotation.identity())[0]
-    np.testing.assert_allclose(
-        first.coeffs, np.array([1, 0, 0, 0, 0, 1]) / np.sqrt(2), atol=1e-15
-    )
+    first = ADAPTED_IDENTITY[:, 0]
+    np.testing.assert_allclose(first, np.array([1, 0, 0, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_adapted_basis_orthonormal_and_star_eigen(rng):
+    # the identity reads the Gram matrix of the adapted basis, the star its
+    # eigenvalues: +1 on the first three bivectors, -1 on the last three
     for _ in range(20):
         q = random_rotation(rng)
-        basis = adapted_basis(q)
-        gram = np.array([[a.coeffs @ b.coeffs for b in basis] for a in basis])
+        gram = adapted_form(CurvatureOperator(np.eye(6)), q)
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
-        for k, b in enumerate(basis):
-            sign = 1.0 if k < 3 else -1.0
-            np.testing.assert_allclose(
-                hodge_star(b).coeffs, sign * b.coeffs, atol=1e-12
-            )
+        star = adapted_form(CurvatureOperator(HODGE_MATRIX), q)
+        np.testing.assert_allclose(star, np.diag([1, 1, 1, -1, -1, -1]), atol=1e-12)
 
 
 def test_adapted_matrix_diagonalizes_star():
@@ -194,8 +193,7 @@ def test_induced_rotation_orthogonal_commutes_with_star(rng):
 
 def test_orientation_flip_swaps_duality():
     # the explicit axis swap conjugates the star into its negative
-    f = orientation_flip()
-    l = induced_map(f)
+    l = induced_map(SWAP_E3_E4)
     np.testing.assert_allclose(l.T @ HODGE_MATRIX @ l, -HODGE_MATRIX, atol=1e-15)
 
 

@@ -523,7 +523,7 @@ def test_non_finite_metric_results_exit_2(args, doc, fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_overflowing_report_exits_2(fmt, tmp_path, capsys):
-    # finite entries whose norms overflow: the report would read Infinity
+    # finite entries whose norm overflows are rejected as input
     rows = [[0.0] * 6 for _ in range(6)]
     rows[0][0] = 1e200
     path = tmp_path / "operator.json"
@@ -531,7 +531,36 @@ def test_overflowing_report_exits_2(fmt, tmp_path, capsys):
     assert main(["decompose", "--input", str(path), "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a report value is not finite")
+    assert captured.err == f"error: {path}: curvature operator norm overflows double precision\n"
+
+
+def _source_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["metric-curvature"], {"a1": "1 + sqrt(x2)", "a2": "1", "a3": "1", "a4": "1"}),
+        (["theorem", "unitary-product"], {"a1": "1+x4*sqrt(x3)", "a2": "1", "a3": "1", "a4": "1"}),
+    ],
+)
+def test_error_exit_prints_no_numpy_warning(args, doc, tmp_path):
+    # numpy divides by zero on the way to these errors; a fresh interpreter
+    # that shows every RuntimeWarning prints only the error line
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "curv4.cli",
+         *args, "--input", str(path)],
+        capture_output=True, text=True, env=_source_env(), cwd=REPO_ROOT, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # --- sympy is imported only when a metric is built --------------------------------
@@ -568,13 +597,10 @@ def test_operator_commands_never_import_sympy():
     metric_argv = resolve(
         ["metric-curvature", "--input", "product_metric.json", "--point", "0.1,0.2,-0.1,0.05"]
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_OPERATOR_ARGV), json.dumps(metric_argv)],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=120, check=True,
+        capture_output=True, text=True, env=_source_env(), cwd=REPO_ROOT, timeout=120,
+        check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] is False and seen["import_cli"] is False
@@ -583,3 +609,22 @@ def test_operator_commands_never_import_sympy():
     assert seen["operator"] == [[code, False] for code in expected]
     assert seen["metric"] is True
     assert (seen["metric_code"], seen["metric_out"], "") == _run_main(metric_argv)
+
+
+# --- the README's library example runs as printed ---------------------------------
+
+
+def test_readme_library_example_runs():
+    # the public names the documentation uses stay importable and behave as shown
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_source_env(), cwd=REPO_ROOT, timeout=120,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and proc.stderr == ""
+    assert lines[1].split()[-1] == "True"
+    assert lines[2] == "special-frame-branch"

@@ -6,6 +6,7 @@ import pytest
 from curv4 import (
     STANDARD_J,
     ComplexStructure,
+    CurvatureOperator,
     FrameRotation,
     KahlerCoeffs,
     NonKahlerError,
@@ -16,7 +17,6 @@ from curv4 import (
     decompose,
     extend_to_bivectors,
     from_unitary_frame,
-    identity_operator,
     induced_rotation,
     kaehler_block_form,
     kaehler_residuals,
@@ -131,14 +131,12 @@ def test_builders_satisfy_identities_in_random_frames(rng):
 
 def test_identity_operator_is_not_kahler():
     lines = kaehler_residuals(
-        identity_operator(), from_unitary_frame(), FrameRotation.identity()
+        CurvatureOperator(np.eye(6)), from_unitary_frame(), FrameRotation.identity()
     )
     assert np.max(np.abs(lines)) > 1.0
 
 
 def test_zero_operator_residuals_vanish():
-    from curv4 import CurvatureOperator
-
     zero = CurvatureOperator(np.zeros((6, 6)))
     lines = kaehler_residuals(zero, from_unitary_frame(), FrameRotation.identity())
     np.testing.assert_array_equal(lines, np.zeros(12))
@@ -172,8 +170,6 @@ def test_scalar_from_kaehler_cp2_frame():
 
 
 def test_scalar_from_kaehler_zero_operator():
-    from curv4 import CurvatureOperator
-
     zero = CurvatureOperator(np.zeros((6, 6)))
     values = scalar_from_kaehler(zero, from_unitary_frame(), FrameRotation.identity())
     assert all(v == 0.0 for v in values)
@@ -182,7 +178,7 @@ def test_scalar_from_kaehler_zero_operator():
 def test_scalar_from_kaehler_rejects_non_kahler():
     with pytest.raises(NonKahlerError):
         scalar_from_kaehler(
-            identity_operator(), from_unitary_frame(), FrameRotation.identity()
+            CurvatureOperator(np.eye(6)), from_unitary_frame(), FrameRotation.identity()
         )
 
 
@@ -246,8 +242,6 @@ def test_block_form_scalar_flat_product():
 
 
 def test_block_form_zero_operator():
-    from curv4 import CurvatureOperator
-
     zero = CurvatureOperator(np.zeros((6, 6)))
     form = kaehler_block_form(zero, from_unitary_frame(), FrameRotation.identity())
     np.testing.assert_allclose(form.plus_block, 0.0, atol=0)
@@ -258,7 +252,7 @@ def test_block_form_zero_operator():
 def test_block_form_rejects_non_kahler():
     with pytest.raises(NonKahlerError):
         kaehler_block_form(
-            identity_operator(), from_unitary_frame(), FrameRotation.identity()
+            CurvatureOperator(np.eye(6)), from_unitary_frame(), FrameRotation.identity()
         )
 
 

@@ -15,13 +15,12 @@ from curv4 import (
     decompose,
     frame_curvature_raw,
     metric_from_dict,
-    metric_to_dict,
     nabla_J_residuals,
-    parse_scalar_field,
     unitary_product_check,
 )
-from curv4.metrics import COORDS
+from curv4.metrics import _validate_expr
 
+COORDS = sp.symbols("x1:5")  # equal to the symbols the parser builds
 X1, X2, X3, X4 = COORDS
 
 SPHERE = "1/(1 + (x1^2 + x2^2 + x3^2 + x4^2)/4)"
@@ -57,17 +56,17 @@ def random_point(rng):
 # --- parser and fields --------------------------------------------------------
 
 def test_parser_numbers_and_precedence():
-    assert parse_scalar_field("1 + 2*x1^2").expr == 1 + 2 * X1**2
-    assert parse_scalar_field("x1 - x2 - x3").expr == X1 - X2 - X3
-    assert parse_scalar_field("2*x1/x2").expr == 2 * X1 / X2
-    assert parse_scalar_field("-x1^2").expr == -(X1**2)
-    assert parse_scalar_field("x1^-2").expr == X1 ** (-2)
-    assert parse_scalar_field("0.25").expr == sp.Rational(1, 4)
+    assert ScalarField("1 + 2*x1^2").expr == 1 + 2 * X1**2
+    assert ScalarField("x1 - x2 - x3").expr == X1 - X2 - X3
+    assert ScalarField("2*x1/x2").expr == 2 * X1 / X2
+    assert ScalarField("-x1^2").expr == -(X1**2)
+    assert ScalarField("x1^-2").expr == X1 ** (-2)
+    assert ScalarField("0.25").expr == sp.Rational(1, 4)
 
 
 def test_parser_functions():
-    assert parse_scalar_field("exp(x2)").expr == sp.exp(X2)
-    assert parse_scalar_field("sqrt(1 + x1^2)").expr == sp.sqrt(1 + X1**2)
+    assert ScalarField("exp(x2)").expr == sp.exp(X2)
+    assert ScalarField("sqrt(1 + x1^2)").expr == sp.sqrt(1 + X1**2)
 
 
 @pytest.mark.parametrize(
@@ -85,31 +84,33 @@ def test_parser_functions():
 )
 def test_parser_reports_positions(text, column):
     with pytest.raises(ParseError) as err:
-        parse_scalar_field(text)
+        ScalarField(text)
     assert err.value.position == column
     assert f"column {column}" in str(err.value)
 
 
 def test_scalar_field_node_set_closed_under_diff():
-    field = parse_scalar_field("sqrt(1 + x1^2) * exp(x2) / x3")
-    for i in (1, 2, 3, 4):
-        field.diff(i)  # validation happens in the constructor
-    with pytest.raises(ValueError, match="unsupported"):
-        ScalarField(sp.sin(X1))
-    with pytest.raises(ValueError, match="unknown variable"):
-        ScalarField(sp.Symbol("y"))
+    field = ScalarField("sqrt(1 + x1^2) * exp(x2) / x3")
+    for x in COORDS:
+        _validate_expr(field.expr.diff(x))
+    # sqrt(-1) is the imaginary unit; sqrt(sqrt(x1)) has exponent 1/4
+    for text in ("sqrt(0-1)", "sqrt(sqrt(x1))"):
+        with pytest.raises(ValueError, match="unsupported"):
+            ScalarField(text)
+    with pytest.raises(ParseError, match="unknown identifier"):
+        ScalarField("y")
 
 
 def test_scalar_field_evaluation():
-    f = parse_scalar_field("exp(x2) + x1^2")
-    assert f((2.0, 0.0, 0.0, 0.0)) == pytest.approx(5.0)
+    metric = DiagonalMetric("exp(x2) + x1^2", "1", "1", "1")
+    assert metric.scale_values((2.0, 0.0, 0.0, 0.0))[0] == pytest.approx(5.0)
 
 
 def test_metric_dict_roundtrip():
     doc = {"a1": "exp(x2)", "a2": "1", "a3": "1", "a4": "1"}
     metric, j_field = metric_from_dict(doc)
     assert j_field is None
-    assert metric_to_dict(metric)["a1"] == "exp(x2)"
+    assert str(metric.scales[0].expr) == "exp(x2)"
     with pytest.raises(ValueError, match="missing"):
         metric_from_dict({"a1": "1"})
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from curv4 import (
     extend_to_bivectors,
     frame_search,
     from_unitary_frame,
-    identity_operator,
     kaehler_residuals,
     operator_from_dict,
     random_rotation,
@@ -37,11 +37,11 @@ from curv4 import (
     run_obstruction_suite,
     scalar_sign_check,
     selfdual_classify,
-    so4_exp,
     structure_from_coeffs,
     structure_from_dict,
 )
 from curv4.obstructions import (
+    _GENERATORS,
     RELATION_ROWS,
     REDUCED_SKEW_ROWS,
     VERDICT_CONFORMALLY_FLAT,
@@ -49,7 +49,7 @@ from curv4.obstructions import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SPECIAL_FRAME,
     VERDICT_VIOLATION,
-    skew_from_params,
+    _iso_exp,
 )
 
 S3 = 1.0 / np.sqrt(3.0)
@@ -66,25 +66,35 @@ def taylor_expm(k, terms=60):
 
 # --- SO(4) parameterization -----------------------------------------------------
 
+LEFT, RIGHT = _GENERATORS[:3], _GENERATORS[3:]
+
+
 def test_so4_exp_matches_series(rng):
+    # each isoclinic factor is the exponential of its generator combination,
+    # and the two factors commute, so their product exponentiates the sum
     for _ in range(30):
-        theta = rng.uniform(-1.0, 1.0, 6)
-        k = skew_from_params(theta)
-        np.testing.assert_allclose(k, -k.T, atol=0)
-        np.testing.assert_allclose(so4_exp(theta), taylor_expm(k), atol=1e-12)
+        v, w = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+        kl, kr = np.tensordot(v, LEFT, axes=1), np.tensordot(w, RIGHT, axes=1)
+        np.testing.assert_allclose(kl, -kl.T, atol=0)
+        np.testing.assert_allclose(kr, -kr.T, atol=0)
+        left, right = _iso_exp(v, LEFT), _iso_exp(w, RIGHT)
+        np.testing.assert_allclose(left, taylor_expm(kl), atol=1e-12)
+        np.testing.assert_allclose(right, taylor_expm(kr), atol=1e-12)
+        np.testing.assert_allclose(left @ right, taylor_expm(kl + kr), atol=1e-12)
 
 
 def test_so4_exp_is_rotation(rng):
-    assert np.array_equal(so4_exp(np.zeros(6)), np.eye(4))
-    for _ in range(20):
-        q = so4_exp(rng.uniform(-4, 4, 6))
-        np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-13)
-        assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+    for gens in (LEFT, RIGHT):
+        assert np.array_equal(_iso_exp(np.zeros(3), gens), np.eye(4))
+        for _ in range(20):
+            q = _iso_exp(rng.uniform(-4, 4, 3), gens)
+            np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-13)
+            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_skew_generators_span():
-    gens = np.array([skew_from_params(np.eye(6)[a]) for a in range(6)])
-    assert np.linalg.matrix_rank(gens.reshape(6, 16)) == 6
+    np.testing.assert_array_equal(_GENERATORS, -_GENERATORS.transpose(0, 2, 1))
+    assert np.linalg.matrix_rank(_GENERATORS.reshape(6, 16)) == 6
 
 
 # --- distinct-index residual ------------------------------------------------------
@@ -126,9 +136,7 @@ def test_first_bianchi_couples_components(rng):
 def test_star_component_is_a_frame_invariant_floor(rng):
     # the star operator keeps residual 3 in every frame, so the search on it
     # must come back inconclusive instead of claiming success
-    from curv4 import star_operator
-
-    star = star_operator()
+    star = CurvatureOperator(HODGE_MATRIX)
     for _ in range(10):
         assert distinct_index_residual(star, random_rotation(rng)) == pytest.approx(
             3.0, abs=1e-12
@@ -199,7 +207,7 @@ def test_frame_search_surface_product():
 
 def test_frame_search_rejects_bad_restarts():
     with pytest.raises(ValueError):
-        frame_search(identity_operator(), restarts=0)
+        frame_search(CurvatureOperator(np.eye(6)), restarts=0)
 
 
 def _components_in_frame(op, q):
@@ -327,7 +335,9 @@ def test_selfdual_classify_violation_branch():
     # a deliberately loose tolerance lets a slightly wrong frame through the
     # preconditions; the coefficient test must then flag the contradiction
     op = build_const_hol_sec(1.0)
-    wiggle = so4_exp(np.array([0.08, -0.03, 0.05, 0.02, -0.06, 0.04]))
+    wiggle = _iso_exp(np.array([0.08, -0.03, 0.05]), LEFT) @ _iso_exp(
+        np.array([0.02, -0.06, 0.04]), RIGHT
+    )
     q = FrameRotation(cp2_example_frame().matrix @ wiggle)
     report = selfdual_classify(
         op, from_unitary_frame(), q, tol=0.5, coeff_tol=1e-12
@@ -506,7 +516,7 @@ def test_suite_surface_product():
 
 
 def test_suite_non_kahler_input_is_inconclusive():
-    report = run_obstruction_suite(identity_operator())
+    report = run_obstruction_suite(CurvatureOperator(np.eye(6)))
     assert report.verdict == VERDICT_INCONCLUSIVE
 
 
@@ -530,15 +540,17 @@ def test_suite_ricci_flat_family_reports_dimension():
     assert report.residuals["ricciflat_nullspace_dimension"] == 3
 
 
-def test_suite_is_inconclusive_when_the_norm_overflows():
-    # not Kaehler (R_1313 != R_2424), and it has a distinct-free frame, so
-    # only the overflowing scale max(1, ||R||) = inf could let it pass
+def test_suite_runs_near_the_norm_overflow_without_warnings():
+    # the shape of the operator the constructor rejects for an overflowing
+    # norm, at 1e153: its squared norm still fits, the suite raises no numpy
+    # warning, and the operator is not Kaehler (R_1313 != R_2424)
     m = np.zeros((6, 6))
-    m[0, 0], m[1, 1] = 1e200, -3e199
-    with np.errstate(over="ignore"):
+    m[0, 0], m[1, 1] = 1e153, -3e152
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = run_obstruction_suite(CurvatureOperator(m))
     assert report.verdict == VERDICT_INCONCLUSIVE
-    assert report.notes == ("the operator norm overflows double precision",)
+    assert report.notes == ("operator is not Kaehler for the supplied structure",)
 
 
 @pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])
@@ -597,5 +609,5 @@ def test_suite_report_serializes():
 def test_non_kahler_residual_exceeds_tolerance_reported():
     with pytest.raises(NonKahlerError):
         scalar_sign_check(
-            identity_operator(), from_unitary_frame(), FrameRotation.identity()
+            CurvatureOperator(np.eye(6)), from_unitary_frame(), FrameRotation.identity()
         )
