@@ -163,7 +163,8 @@ def frame_search(r_op, restarts=32, seed=0, tol=1e-10):
     diagonal block of the adapted form is rotated to a constant diagonal by
     two Givens rotations, lifted to SO(4) through the isoclinic factor that
     moves only that block.  The residual is then 3 beta^2 up to rounding,
-    the floor every frame obeys: 0 for an operator satisfying the Bianchi
+    the floor every frame obeys, with beta = ``_star_pairing(r_op) / 6``
+    from :mod:`curv4.operators`: 0 for an operator satisfying the Bianchi
     identity.  The CP^2 start keeps the explicit frame when it already
     qualifies, and keeps a block that is already constant where it is (the
     zero self-dual block of a scalar-flat Kaehler operator leaves the

@@ -160,6 +160,12 @@ def scalar_curvature(r_op):
     return 2.0 * float(np.trace(r_op.matrix))
 
 
+def _star_pairing(r_op):
+    """Frobenius pairing <R, *> of the operator with the Hodge star; the
+    star component beta of R is this over 6, since <*, *> = 6."""
+    return float(np.sum(r_op.matrix * HODGE_MATRIX))
+
+
 def bianchi_defect(r_op):
     """The single independent component of the first-Bianchi map in
     dimension 4: R_1234 + R_2314 + R_3124.
@@ -169,7 +175,7 @@ def bianchi_defect(r_op):
     """
     r1234, r1324, r1423 = distinct_index_components(r_op)
     by_components = r1234 + r1423 - r1324  # R_2314 = R_1423, R_3124 = -R_1324
-    by_star = 0.5 * float(np.sum(r_op.matrix * HODGE_MATRIX))
+    by_star = 0.5 * _star_pairing(r_op)
     if abs(by_components - by_star) > 1e-10 * max(1.0, r_op.norm()):
         raise AssertionError(
             "component sum and star pairing disagree on the Bianchi defect"
@@ -246,7 +252,7 @@ def decompose(r_op):
     diagonal blocks of what remains in the adapted basis.
     """
     m = r_op.matrix
-    beta = float(np.sum(m * HODGE_MATRIX)) / 6.0
+    beta = _star_pairing(r_op) / 6.0
     bianchi = beta * HODGE_MATRIX
     r = scalar_curvature(r_op)
     scalar = (r / 12.0) * np.eye(6)
@@ -290,7 +296,7 @@ def weyl_block(r_op, sign, q: FrameRotation):
     (R_1212 + R_3434 + 2 R_1234)/2 in the rotated frame.
     """
     s = unit_sign(sign)
-    beta = float(np.sum(r_op.matrix * HODGE_MATRIX)) / 6.0
+    beta = _star_pairing(r_op) / 6.0
     reduced = CurvatureOperator(r_op.matrix - beta * HODGE_MATRIX)
     ad = adapted_form(reduced, q)
     return ad[:3, :3] if s > 0 else ad[3:, 3:]

@@ -575,6 +575,8 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import curv4
 seen = {"import": "sympy" in sys.modules, "metrics": "curv4.metrics" in sys.modules}
+extras = ("numpy.f2py", "numpy.testing", "numpy.ma")
+seen["extras_at_import"] = [name for name in extras if name in sys.modules]
 from curv4.cli import main
 seen["import_cli"] = "sympy" in sys.modules
 seen["operator"] = []
@@ -587,6 +589,7 @@ with contextlib.redirect_stdout(out):
     seen["metric_code"] = main(json.loads(sys.argv[2]))
 seen["metric_out"] = out.getvalue()
 seen["metric"] = "sympy" in sys.modules
+seen["extras_after_metric"] = [name for name in extras if name in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -608,6 +611,10 @@ def test_operator_commands_never_import_sympy():
     expected = [code for args, code in COMMAND_TABLE if resolve(args) in _OPERATOR_ARGV]
     assert seen["operator"] == [[code, False] for code in expected]
     assert seen["metric"] is True
+    # the compiled evaluators import only the numpy functions they name, so the
+    # metric command loads none of these subpackages (numpy 2 loads none at
+    # import either; numpy 1 imports numpy.ma with numpy itself)
+    assert seen["extras_after_metric"] == seen["extras_at_import"]
     assert (seen["metric_code"], seen["metric_out"], "") == _run_main(metric_argv)
 
 

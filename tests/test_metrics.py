@@ -1,6 +1,10 @@
+import inspect
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import SAMPLE_DIR
 
 from curv4 import (
     DiagonalMetric,
@@ -18,7 +22,17 @@ from curv4 import (
     nabla_J_residuals,
     unitary_product_check,
 )
-from curv4.metrics import _validate_expr
+from curv4.metrics import (
+    _column,
+    _compiled,
+    _coordinate_curvature_exprs,
+    _coords,
+    _cross_derivative_exprs,
+    _frame_curvature_exprs,
+    _gamma_exprs,
+    _nabla_j_exprs,
+    _validate_expr,
+)
 
 COORDS = sp.symbols("x1:5")  # equal to the symbols the parser builds
 X1, X2, X3, X4 = COORDS
@@ -291,3 +305,45 @@ def test_unitary_product_check_flags_cross_dependence():
     assert not report.is_product
     assert report.failed == ("e3(a1)",)
     assert report.residuals["e3(a1)"] == pytest.approx(1.0)
+
+
+# --- compiled evaluators ---------------------------------------------------------
+
+_METRIC_SAMPLES = sorted(
+    path.name for path in SAMPLE_DIR.glob("*metric*.json")
+    if path.name != "bad_syntax_metric.json"
+)
+
+
+def _builds(metric, j_field):
+    """Every (builder, keys) a metric and its structure field compile."""
+    m = (metric.key,)
+    builds = [
+        (_column, m),
+        (_frame_curvature_exprs, m),
+        (_coordinate_curvature_exprs, m),
+        (_cross_derivative_exprs, m),
+        (_gamma_exprs, m),
+    ]
+    if j_field is not None:
+        builds += [(_column, (j_field.key,)), (_nabla_j_exprs, (metric.key, j_field.key))]
+    return builds
+
+
+@pytest.mark.parametrize("sample", _METRIC_SAMPLES)
+def test_compiled_matches_stock_numpy_lambdify(sample, rng):
+    # the trimmed namespace changes which modules load, not a character of the
+    # generated code nor a bit of what it returns
+    assert len(_METRIC_SAMPLES) == 4
+    with open(SAMPLE_DIR / sample, encoding="utf-8") as handle:
+        metric, j_field = metric_from_dict(json.load(handle))
+    points = [random_point(rng) for _ in range(20)]
+    for point in points:
+        metric.scale_values(point)  # in the domain of every sample
+    for build, keys in _builds(metric, j_field):
+        ours = _compiled(build, keys)
+        stock = sp.lambdify(_coords(), build(*keys), "numpy")
+        assert inspect.getsource(ours) == inspect.getsource(stock)
+        for point in points:
+            got, want = np.asarray(ours(*point)), np.asarray(stock(*point))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
