@@ -19,7 +19,6 @@ from .bivectors import (
     hodge_star,
     induced_map,
     induced_rotation,
-    random_rotation,
     sd_project,
     wedge,
 )
@@ -51,7 +50,6 @@ from .kahler import (
     from_unitary_frame,
     kaehler_block_form,
     kaehler_residuals,
-    random_kahler_pair,
     scalar_from_kaehler,
     structure_from_coeffs,
     structure_from_dict,

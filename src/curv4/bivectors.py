@@ -151,15 +151,6 @@ class FrameRotation:
         return FrameRotation(np.eye(4))
 
 
-def random_rotation(rng):
-    """Random element of SO(4); deterministic for a seeded generator."""
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
-    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-    if np.linalg.det(q) < 0:
-        q = q[:, [1, 0, 2, 3]]
-    return FrameRotation(q)
-
-
 # Entry ((k, l), (i, j)) of induced_map(A) is A_ki A_lj - A_li A_kj.
 _FF = np.ix_(PAIR_FIRST, PAIR_FIRST)
 _SS = np.ix_(PAIR_SECOND, PAIR_SECOND)

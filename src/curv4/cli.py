@@ -249,11 +249,8 @@ def _cmd_kahler_check(args):
 def _cmd_metric_curvature(args):
     metric, j_field = _load_metric(args.input)
     point = _parse_point(args.point)
-    try:
-        primary = curvature_at(metric, point)
-        oracle = christoffel_oracle(metric, point)
-    except MetricDomainError as err:
-        raise InputError(str(err)) from err
+    primary = curvature_at(metric, point)
+    oracle = christoffel_oracle(metric, point)
     scale = max(1.0, float(np.max(np.abs(primary.matrix))))
     agreement = float(np.max(np.abs(primary.matrix - oracle.matrix)))
     both = distinct_index_components(primary) + distinct_index_components(oracle)
@@ -276,10 +273,7 @@ def _cmd_metric_curvature(args):
         }
     )
     if j_field is not None:
-        try:
-            residuals = nabla_J_residuals(metric, j_field, point)
-        except ValueError as err:
-            raise InputError(str(err)) from err
+        residuals = nabla_J_residuals(metric, j_field, point)
         worst = float(np.max(np.abs(residuals)))
         payload["nabla_J_max_residual"] = worst
         checks["nabla_J"] = worst <= args.tolerance
@@ -341,10 +335,7 @@ def _cmd_theorem(args):
         raise InputError("theorem unitary-product needs --input")
     metric, _ = _load_metric(args.input)
     point = _parse_point(args.point)
-    try:
-        report = unitary_product_check(metric, point, tol=args.tolerance)
-    except MetricDomainError as err:
-        raise InputError(str(err)) from err
+    report = unitary_product_check(metric, point, tol=args.tolerance)
     payload.update(
         {
             "point": list(point),
@@ -433,7 +424,8 @@ def main(argv=None):
             except ValueError as err:
                 # a finite input whose results overflow double precision
                 raise InputError(f"a report value is not finite: {err}") from err
-    except InputError as err:
+    except (InputError, MetricDomainError) as err:
+        # a metric outside its domain at the point is an input error too
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(report)

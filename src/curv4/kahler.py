@@ -26,7 +26,6 @@ from .bivectors import (
     Bivector,
     FrameRotation,
     induced_map,
-    random_rotation,
     sd_project,
 )
 from .operators import (
@@ -383,19 +382,6 @@ def build_surface_product(k1, k2):
     """
     r_op = from_components([(1, 2, 1, 2, float(k1)), (3, 4, 3, 4, float(k2))])
     return r_op, from_unitary_frame()
-
-
-def random_kahler_pair(rng):
-    """Random (operator, structure) Kaehler pair: a nonnegative mix of the
-    two builders pushed into a random frame."""
-    mix = rng.uniform(0.0, 1.0)
-    chs = build_const_hol_sec(rng.uniform(0.2, 2.0))
-    prod, _ = build_surface_product(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-    base = CurvatureOperator(mix * chs.matrix + (1.0 - mix) * prod.matrix)
-    q = random_rotation(rng)
-    r_op = conjugate(base, q)
-    structure = ComplexStructure(q.matrix.T @ STANDARD_J @ q.matrix)
-    return r_op, structure
 
 
 def structure_from_dict(doc):

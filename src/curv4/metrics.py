@@ -19,10 +19,9 @@ or compiled, so the operator commands, which build no metric, never load it.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class ParseError(ValueError):
 
 
 class MetricDomainError(ValueError):
-    """A scale function is not positive at the requested point."""
+    """The requested point lies outside the metric's domain."""
 
 
 _TOKEN_RE = re.compile(
@@ -201,11 +200,8 @@ class ScalarField:
     __slots__ = ("expr",)
 
     def __init__(self, source):
-        if isinstance(source, ScalarField):
-            expr = source.expr
-        else:
-            expr = parse_expression(source)
-            _validate_expr(expr)
+        expr = parse_expression(source)
+        _validate_expr(expr)
         self.expr = expr
 
     def __repr__(self):
@@ -222,11 +218,10 @@ def _check_point(point):
 class DiagonalMetric:
     """Four positive scale functions a1..a4 of x1..x4."""
 
-    __slots__ = ("scales", "domain_note")
+    __slots__ = ("scales",)
 
-    def __init__(self, a1, a2, a3, a4, domain_note=""):
+    def __init__(self, a1, a2, a3, a4):
         self.scales = tuple(ScalarField(a) for a in (a1, a2, a3, a4))
-        self.domain_note = str(domain_note)
 
     @property
     def key(self):
@@ -235,8 +230,8 @@ class DiagonalMetric:
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = _evaluate(point, _column, self.key).reshape(4)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= MIN_SCALE):
+        vals = _evaluate(point, "scale functions", _column, self.key).reshape(4)
+        if min(vals.tolist()) <= MIN_SCALE:
             raise MetricDomainError(
                 f"scale functions must be positive at {point}; got {vals.tolist()}"
             )
@@ -251,12 +246,10 @@ def metric_from_dict(doc):
     carrying pointwise structure coefficients a12, a13, a14."""
     if not isinstance(doc, dict):
         raise ValueError("metric document must be a JSON object")
-    scales = []
     for name in ("a1", "a2", "a3", "a4"):
         if name not in doc:
             raise ValueError(f"metric document is missing {name!r}")
-        scales.append(ScalarField(str(doc[name])))
-    metric = DiagonalMetric(*scales, domain_note=doc.get("domain_note", ""))
+    metric = DiagonalMetric(*(str(doc[name]) for name in ("a1", "a2", "a3", "a4")))
     j_field = None
     if "J_field" in doc:
         jdoc = doc["J_field"]
@@ -283,9 +276,9 @@ class JField:
 
     def values(self, point):
         point = _check_point(point)
-        vals = _evaluate(point, _column, self.key).reshape(3)
-        if not abs(float(vals @ vals) - 1.0) <= 1e-10:  # NaN fails too
-            raise ValueError(
+        vals = _evaluate(point, "structure coefficients", _column, self.key).reshape(3)
+        if abs(float(vals @ vals) - 1.0) > 1e-10:
+            raise MetricDomainError(
                 f"structure coefficients must have unit norm at {point}; got {vals.tolist()}"
             )
         return vals
@@ -325,26 +318,43 @@ def _compiled(build, keys):
     )
 
 
-def _evaluate(point, build, *keys):
+def _evaluate(point, what, build, *keys):
     """The compiled build(*keys) at a checked point, as a float array.
 
-    A value that divides by zero or overflows there is a domain error.
+    The one place that decides a point lies outside the metric's domain: a
+    value that divides by zero or overflows there, in the compiled code or
+    as an integer beyond double range, is not defined; a complex value is
+    not real; a NaN or infinite value is not finite.
     """
     try:
-        vals = _compiled(build, keys)(*point)
+        vals = np.asarray(_compiled(build, keys)(*point))
+        if vals.dtype.kind == "O":
+            # Python ints beyond int64 leave an object array; converting it
+            # through complex keeps a complex entry beside them visible below
+            vals = vals.astype(complex)
     except (ZeroDivisionError, OverflowError) as err:
         raise MetricDomainError(f"the metric is not defined at {point}: {err}") from err
-    return np.array(vals, dtype=float)
-
-
-def _require_finite(vals, what, point):
-    # on a dozen values, math over a list costs a third of np.isfinite
-    if not all(map(math.isfinite, vals.tolist())):
+    if vals.dtype.kind == "c":
+        if vals.imag.any():
+            raise MetricDomainError(f"the {what} are not real at {point}")
+        vals = vals.real
+    vals = vals.astype(float, copy=False)
+    if not np.isfinite(vals).all():
         raise MetricDomainError(f"the {what} are not finite at {point}")
+    return vals
 
 
+def _at(metric, point, what, build, *keys):
+    """build(*keys) evaluated at a point where the metric's scales are positive."""
+    point = _check_point(point)
+    metric.scale_values(point)
+    return _evaluate(point, what, build, *keys)
+
+
+@lru_cache(maxsize=None)
 def _fd(a, expr, i):
-    """Frame derivative e_i(expr) = (1/a_i) d expr / dx_i, symbolically."""
+    """Frame derivative e_i(expr) = (1/a_i) d expr / dx_i, symbolically, built
+    once per (scales, expression, direction)."""
     return expr.diff(_coords()[i - 1]) / a[i - 1]
 
 
@@ -357,7 +367,7 @@ def _gamma_exprs(key):
     """
     import sympy as sp
 
-    a = list(key)
+    a = key
     zero = sp.Integer(0)
     gamma = [[[zero for _ in range(5)] for _ in range(5)] for _ in range(5)]
     for i in range(1, 5):
@@ -375,9 +385,8 @@ def _gamma_exprs(key):
 def connection_coeffs(metric: DiagonalMetric, point):
     """Table gamma[i, j, k] = <nabla_{e_i} e_j, e_k> at the point (0-based
     array indices for 1-based frame labels)."""
-    point = _check_point(point)
-    metric.scale_values(point)
-    return _evaluate(point, _gamma_exprs, metric.key).reshape(4, 4, 4)
+    vals = _at(metric, point, "connection coefficients", _gamma_exprs, metric.key)
+    return vals.reshape(4, 4, 4)
 
 
 def _frame_curvature_exprs(key):
@@ -389,14 +398,8 @@ def _frame_curvature_exprs(key):
     """
     import sympy as sp
 
-    a = list(key)
-    cache = {}
-
-    def E(expr, i):
-        k2 = (expr, i)
-        if k2 not in cache:
-            cache[k2] = _fd(a, expr, i)
-        return cache[k2]
+    a = key
+    E = partial(_fd, key)
 
     def diag(i, j):
         # R_ijij: second frame derivatives of each scale along the other
@@ -443,14 +446,13 @@ def _frame_curvature_exprs(key):
 def frame_curvature_raw(metric: DiagonalMetric, point):
     """The un-symmetrized 6x6 assembled from the frame formulas; the gap
     between it and its transpose is a consistency diagnostic."""
-    point = _check_point(point)
-    metric.scale_values(point)
-    return _evaluate(point, _frame_curvature_exprs, metric.key)
+    return _at(metric, point, "curvature components", _frame_curvature_exprs, metric.key)
 
 
 def _curvature_operator(raw, point):
-    """The symmetrized operator of raw; its constructor rejects only
-    non-finite entries here, and those make the point a domain error."""
+    """The symmetrized operator of raw, whose entries are finite; its
+    constructor still rejects entries or a norm that overflow double
+    precision, and those make the point a domain error."""
     try:
         return CurvatureOperator(0.5 * (raw + raw.T))
     except ValueError as err:
@@ -523,21 +525,18 @@ def christoffel_oracle(metric: DiagonalMetric, point):
     Used only to verify :func:`curvature_at`; the two routes share nothing
     beyond exact symbolic differentiation of the scale functions.
     """
-    point = _check_point(point)
-    metric.scale_values(point)
-    raw = _evaluate(point, _coordinate_curvature_exprs, metric.key)
+    raw = _at(
+        metric, point, "oracle curvature components", _coordinate_curvature_exprs, metric.key
+    )
     return _curvature_operator(raw, point)
 
 
 def _nabla_j_exprs(metric_key, j_key):
     import sympy as sp
 
-    a = list(metric_key)
+    a = metric_key
     j12, j13, j14 = j_key
-
-    def E(expr, i):
-        return _fd(a, expr, i)
-
+    E = partial(_fd, metric_key)
     lines = [
         a[0] * E(j12, 1) - (j14 * E(a[0], 3) - j13 * E(a[0], 4)),
         a[0] * E(j13, 1) - (-j14 * E(a[0], 2) + j12 * E(a[0], 4)),
@@ -560,12 +559,10 @@ def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
     structure must satisfy over an orthogonal chart (four derivative
     directions times three coefficients); a Kaehler pair zeroes all of them.
     A residual that is not finite at the point is a domain error."""
-    point = _check_point(point)
-    metric.scale_values(point)
     j_field.values(point)
-    vals = _evaluate(point, _nabla_j_exprs, metric.key, j_field.key).reshape(12)
-    _require_finite(vals, "nabla J residuals", point)
-    return vals
+    return _at(
+        metric, point, "nabla J residuals", _nabla_j_exprs, metric.key, j_field.key
+    ).reshape(12)
 
 
 _CROSS_LABELS = (
@@ -575,7 +572,7 @@ _CROSS_LABELS = (
 
 
 def _cross_derivative_exprs(key):
-    a = list(key)
+    a = key
     return _column([
         _fd(a, a[0], 3), _fd(a, a[0], 4), _fd(a, a[1], 3), _fd(a, a[1], 4),
         _fd(a, a[2], 1), _fd(a, a[2], 2), _fd(a, a[3], 1), _fd(a, a[3], 2),
@@ -597,11 +594,8 @@ def unitary_product_check(metric: DiagonalMetric, point, tol=1e-10):
     """Check that a1, a2 only depend on (x1, x2) and a3, a4 on (x3, x4) at
     the point, through the eight frame cross-derivatives; a cross-derivative
     that is not finite there is a domain error, never a pass."""
-    point = _check_point(point)
-    metric.scale_values(point)
-    vals = _evaluate(point, _cross_derivative_exprs, metric.key).reshape(8)
-    _require_finite(vals, "cross-derivatives", point)
-    residuals = dict(zip(_CROSS_LABELS, (float(v) for v in vals)))
+    vals = _at(metric, point, "cross-derivatives", _cross_derivative_exprs, metric.key)
+    residuals = dict(zip(_CROSS_LABELS, vals.reshape(8).tolist()))
     failed = tuple(name for name, v in residuals.items() if abs(v) > tol)
     return UnitaryProductReport(
         residuals=residuals,

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .bivectors import FrameRotation, induced_rotation, wedge
+from .bivectors import FrameRotation, wedge
 from .kahler import (
     ComplexStructure,
     KahlerCoeffs,
@@ -39,6 +39,7 @@ from .operators import (
     CurvatureOperator,
     adapted_form,
     bianchi_defect,
+    conjugate,
     decompose,
     distinct_index_components,
     ricci,
@@ -97,8 +98,7 @@ def distinct_index_residual(r_op, q: FrameRotation):
     by the condition is therefore *which* frames achieve it, not whether one
     exists.
     """
-    l = induced_rotation(q)
-    return _sum_of_squares(CurvatureOperator(l.T @ r_op.matrix @ l))
+    return _sum_of_squares(conjugate(r_op, q))
 
 
 def _sum_of_squares(rotated):

@@ -25,7 +25,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SAMPLE_DIR, random_bianchi, random_symmetric6
+from conftest import (
+    SAMPLE_DIR,
+    random_bianchi,
+    random_kahler_pair,
+    random_rotation,
+    random_symmetric6,
+)
 from curv4 import (
     ADAPTED_IDENTITY,
     ComplexStructure,
@@ -52,8 +58,6 @@ from curv4 import (
     from_unitary_frame,
     kaehler_residuals,
     metric_from_dict,
-    random_kahler_pair,
-    random_rotation,
     ricci,
     ricciflat_nullspace,
     s_map,

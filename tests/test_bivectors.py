@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_rotation
 from curv4 import (
     ADAPTED_IDENTITY,
     HODGE_MATRIX,
@@ -13,7 +14,6 @@ from curv4 import (
     hodge_star,
     induced_map,
     induced_rotation,
-    random_rotation,
     sd_project,
     wedge,
 )

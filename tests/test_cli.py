@@ -434,7 +434,9 @@ _OPERATOR_DOC = _spoiled(st.one_of(
 ))
 # positive scales; a1 may also vanish or be undefined somewhere, or not parse
 _SCALE = st.sampled_from(["1", "2", "exp(x2)", "1+x3^2", "exp(x1*x4)"])
-_A1 = _SCALE | st.sampled_from(["x1", "1/x1", "sqrt(x4)", "x1^100000000", "1+", "y"])
+_A1 = _SCALE | st.sampled_from(
+    ["x1", "1/x1", "sqrt(x4)", "x1^100000000", "10^400", "sqrt(x1)^3", "1+", "y"]
+)
 _METRIC_DOC = _spoiled(st.fixed_dictionaries(
     {"a1": _A1, "a2": _SCALE, "a3": _SCALE, "a4": _SCALE},
     optional={"J_field": _spoiled(st.fixed_dictionaries(
@@ -504,6 +506,8 @@ def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
     [
         # e3(a1) = x4 / (2 sqrt(x3)) is 0/0 at the origin
         (["theorem", "unitary-product"], {"a1": "1+x4*sqrt(x3)", "a2": "1", "a3": "1", "a4": "1"}),
+        # the curvature entries are finite (R_1212 = -2e200), their norm is not
+        (["metric-curvature"], {"a1": "1+10^200*x2^2", "a2": "1", "a3": "1", "a4": "1"}),
         # e2(a12) = 1 / (2 sqrt(x2)) is infinite at the origin
         (
             ["metric-curvature"],
@@ -519,6 +523,30 @@ def test_non_finite_metric_results_exit_2(args, doc, fmt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
+_NOT_REAL = "the scale functions are not real at (-0.5, 0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("command", [["metric-curvature"], ["theorem", "unitary-product"]])
+@pytest.mark.parametrize(
+    "a1, point, message",
+    [
+        # an integer literal beyond double range fails on conversion to float
+        ("10^400", "0.1,0.2,0.3,0.4",
+         "the metric is not defined at (0.1, 0.2, 0.3, 0.4): int too large to convert to float"),
+        # sympy folds both to x1**(3/2), which Python's ** makes complex for x1 < 0
+        ("1+sqrt(x1)^3", "-0.5,0,0,0", _NOT_REAL),
+        ("1+x1*sqrt(x1)", "-0.5,0,0,0", _NOT_REAL),
+    ],
+    ids=["int-beyond-double", "sqrt-cubed", "x1-times-sqrt"],
+)
+def test_scale_outside_real_doubles_exits_2(command, a1, point, message, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"a1": a1, "a2": "1", "a3": "1", "a4": "1"}))
+    assert main([*command, "--input", str(path), "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -547,6 +575,9 @@ def _source_env():
     [
         (["metric-curvature"], {"a1": "1 + sqrt(x2)", "a2": "1", "a3": "1", "a4": "1"}),
         (["theorem", "unitary-product"], {"a1": "1+x4*sqrt(x3)", "a2": "1", "a3": "1", "a4": "1"}),
+        # a complex scale, which a cast to float would drop to its real part
+        (["metric-curvature", "--point=-0.5,0,0,0"],
+         {"a1": "1+sqrt(x1)^3", "a2": "1", "a3": "1", "a4": "1"}),
     ],
 )
 def test_error_exit_prints_no_numpy_warning(args, doc, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import random_kahler_pair, random_rotation
 from curv4 import (
     STANDARD_J,
     ComplexStructure,
@@ -20,8 +21,6 @@ from curv4 import (
     induced_rotation,
     kaehler_block_form,
     kaehler_residuals,
-    random_kahler_pair,
-    random_rotation,
     ricci,
     scalar_curvature,
     scalar_from_kaehler,

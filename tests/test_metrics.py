@@ -129,6 +129,16 @@ def test_metric_dict_roundtrip():
         metric_from_dict({"a1": "1"})
 
 
+def test_large_integer_literal_beside_a_complex_scale():
+    # 10^30 lies beyond int64 but within double range; next to a complex
+    # scale it is still converted, and the complex one is rejected as not real
+    metric = DiagonalMetric("10^30", "1", "1", "1")
+    assert metric.scale_values((0.0, 0.0, 0.0, 0.0)).tolist() == [1e30, 1.0, 1.0, 1.0]
+    mixed = DiagonalMetric("10^30", "1+sqrt(x1)^3", "1", "1")
+    with pytest.raises(MetricDomainError, match="scale functions are not real"):
+        mixed.scale_values((-0.5, 0.0, 0.0, 0.0))
+
+
 def test_metric_domain_error():
     metric = DiagonalMetric("x1", "1", "1", "1")
     with pytest.raises(MetricDomainError):
@@ -279,7 +289,7 @@ def test_jfield_nan_values_rejected():
     # unit-norm comparison
     metric = DiagonalMetric("1", "1", "1", "1")
     j = JField("sqrt(x1 - 1)", "0", "0")
-    with pytest.raises(ValueError, match="unit norm"), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
         nabla_J_residuals(metric, j, (0.5, 0.0, 0.0, 0.0))
 
 

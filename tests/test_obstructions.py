@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import curv4
-from conftest import SAMPLE_DIR, random_bianchi, random_symmetric6
+from conftest import SAMPLE_DIR, random_bianchi, random_rotation, random_symmetric6
 from curv4 import (
     ADAPTED_IDENTITY,
     ComplexStructure,
@@ -31,7 +31,6 @@ from curv4 import (
     from_unitary_frame,
     kaehler_residuals,
     operator_from_dict,
-    random_rotation,
     ricci,
     ricciflat_nullspace,
     run_obstruction_suite,
@@ -575,7 +574,9 @@ def test_suite_builds_each_kaehler_quantity_once(sample, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     report = run_obstruction_suite(op, structure)
     assert report.verdict in (VERDICT_SPECIAL_FRAME, VERDICT_CONFORMALLY_FLAT)
-    assert counts == {name: 1 for name in targets}
+    # one conjugation into the Kaehler frame, and one into the frame that
+    # frame_search returns, for the cross-check of its residual
+    assert counts == {**{name: 1 for name in targets}, "conjugate": 2}
 
 
 @pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])

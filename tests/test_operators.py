@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_bianchi, random_symmetric6
+from conftest import random_bianchi, random_rotation, random_symmetric6
 from curv4 import (
     HODGE_MATRIX,
     CurvatureOperator,
@@ -17,7 +17,6 @@ from curv4 import (
     distinct_index_components,
     from_components,
     induced_map,
-    random_rotation,
     ricci,
     s_map,
     scalar_curvature,
