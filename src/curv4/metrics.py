@@ -19,6 +19,7 @@ or compiled, so the operator commands, which build no metric, never load it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -209,33 +210,44 @@ class ScalarField:
 
 
 def _check_point(point):
-    p = tuple(float(v) for v in point)
-    if len(p) != 4 or not all(np.isfinite(p)):
+    p = tuple(map(float, point))
+    if len(p) != 4 or not all(map(math.isfinite, p)):
         raise ValueError(f"a point has four finite coordinates, got {point!r}")
     return p
+
+
+def _positive(scales, point):
+    """The scale values at a checked point, once each exceeds MIN_SCALE."""
+    if min(scales.tolist()) <= MIN_SCALE:
+        raise MetricDomainError(
+            f"scale functions must be positive at {point}; got {scales.tolist()}"
+        )
+    return scales
+
+
+def _unit(coeffs, point):
+    """The structure coefficients at a checked point, once their norm is 1."""
+    if abs(float(coeffs @ coeffs) - 1.0) > 1e-10:
+        raise MetricDomainError(
+            f"structure coefficients must have unit norm at {point}; got {coeffs.tolist()}"
+        )
+    return coeffs
 
 
 class DiagonalMetric:
     """Four positive scale functions a1..a4 of x1..x4."""
 
-    __slots__ = ("scales",)
+    __slots__ = ("scales", "key")
 
     def __init__(self, a1, a2, a3, a4):
         self.scales = tuple(ScalarField(a) for a in (a1, a2, a3, a4))
-
-    @property
-    def key(self):
-        return tuple(f.expr for f in self.scales)
+        self.key = tuple(f.expr for f in self.scales)
 
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = _evaluate(point, "scale functions", _column, self.key).reshape(4)
-        if min(vals.tolist()) <= MIN_SCALE:
-            raise MetricDomainError(
-                f"scale functions must be positive at {point}; got {vals.tolist()}"
-            )
-        return vals
+        vals = _evaluate(point, "scale functions", _column, self.key)
+        return _positive(vals.reshape(4), point)
 
     def __repr__(self):
         return f"DiagonalMetric{tuple(str(f.expr) for f in self.scales)}"
@@ -265,23 +277,16 @@ def metric_from_dict(doc):
 class JField:
     """Pointwise structure coefficients (a12, a13, a14) with unit norm."""
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "key")
 
     def __init__(self, a12, a13, a14):
         self.fields = tuple(ScalarField(c) for c in (a12, a13, a14))
-
-    @property
-    def key(self):
-        return tuple(f.expr for f in self.fields)
+        self.key = tuple(f.expr for f in self.fields)
 
     def values(self, point):
         point = _check_point(point)
-        vals = _evaluate(point, "structure coefficients", _column, self.key).reshape(3)
-        if abs(float(vals @ vals) - 1.0) > 1e-10:
-            raise MetricDomainError(
-                f"structure coefficients must have unit norm at {point}; got {vals.tolist()}"
-            )
-        return vals
+        vals = _evaluate(point, "structure coefficients", _column, self.key)
+        return _unit(vals.reshape(3), point)
 
 
 def _column(exprs):
@@ -291,10 +296,18 @@ def _column(exprs):
     return sp.Matrix(exprs)
 
 
+def _inputs_first(build, *keys):
+    """The expressions of keys (the scales, then any structure coefficients)
+    followed by the entries of build(*keys), as one column: a route's single
+    compiled call returns the values its domain rules check."""
+    return _column([*(expr for key in keys for expr in key), *build(*keys)])
+
+
 @lru_cache(maxsize=None)
 def _compiled(build, keys):
     """Numeric evaluator of the expressions build(*keys), one lambdify per
-    (builder, keys); a tuple of fields compiles through build = _column.
+    (builder, keys); a tuple of fields compiles through build = _column, a
+    route through build = _inputs_first.
 
     The printer is the one lambdify builds for "numpy", with the same
     settings, so the generated source is the same.  The namespace starts
@@ -333,7 +346,11 @@ def _evaluate(point, what, build, *keys):
             # through complex keeps a complex entry beside them visible below
             vals = vals.astype(complex)
     except (ZeroDivisionError, OverflowError) as err:
-        raise MetricDomainError(f"the metric is not defined at {point}: {err}") from err
+        # the last argument is the reason alone: an overflowing float power
+        # raises OverflowError(errno, reason)
+        raise MetricDomainError(
+            f"the metric is not defined at {point}: {err.args[-1]}"
+        ) from err
     if vals.dtype.kind == "c":
         if vals.imag.any():
             raise MetricDomainError(f"the {what} are not real at {point}")
@@ -344,11 +361,32 @@ def _evaluate(point, what, build, *keys):
     return vals
 
 
-def _at(metric, point, what, build, *keys):
-    """build(*keys) evaluated at a point where the metric's scales are positive."""
+def _at(metric, point, what, build, j_field=None):
+    """The entries of build, flattened, at a point where the metric's scales
+    are positive and j_field, if given, has unit norm.
+
+    One compiled call returns the scales, the structure coefficients and the
+    entries, and the rules apply to the values from that call.  When the call
+    fails, the coefficients and then the scales are evaluated alone before
+    its error is re-raised, so their errors come first, as when each was
+    evaluated on its own.
+    """
     point = _check_point(point)
-    metric.scale_values(point)
-    return _evaluate(point, what, build, *keys)
+    keys = (metric.key,) if j_field is None else (metric.key, j_field.key)
+    try:
+        vals = _evaluate(point, what, _inputs_first, build, *keys).reshape(-1)
+    except (MetricDomainError, RuntimeWarning):
+        # a RuntimeWarning is numpy's, raised only under an "error" filter
+        if j_field is not None:
+            j_field.values(point)
+        metric.scale_values(point)
+        raise
+    inputs = 4
+    if j_field is not None:
+        _unit(vals[4:7], point)
+        inputs = 7
+    _positive(vals[:4], point)
+    return vals[inputs:]
 
 
 @lru_cache(maxsize=None)
@@ -385,8 +423,7 @@ def _gamma_exprs(key):
 def connection_coeffs(metric: DiagonalMetric, point):
     """Table gamma[i, j, k] = <nabla_{e_i} e_j, e_k> at the point (0-based
     array indices for 1-based frame labels)."""
-    vals = _at(metric, point, "connection coefficients", _gamma_exprs, metric.key)
-    return vals.reshape(4, 4, 4)
+    return _at(metric, point, "connection coefficients", _gamma_exprs).reshape(4, 4, 4)
 
 
 def _frame_curvature_exprs(key):
@@ -446,17 +483,19 @@ def _frame_curvature_exprs(key):
 def frame_curvature_raw(metric: DiagonalMetric, point):
     """The un-symmetrized 6x6 assembled from the frame formulas; the gap
     between it and its transpose is a consistency diagnostic."""
-    return _at(metric, point, "curvature components", _frame_curvature_exprs, metric.key)
+    return _at(metric, point, "curvature components", _frame_curvature_exprs).reshape(6, 6)
 
 
 def _curvature_operator(raw, point):
     """The symmetrized operator of raw, whose entries are finite; its
-    constructor still rejects entries or a norm that overflow double
-    precision, and those make the point a domain error."""
+    constructor still rejects a symmetrized entry or a norm that overflows
+    double precision, and either makes the point a domain error."""
     try:
         return CurvatureOperator(0.5 * (raw + raw.T))
     except ValueError as err:
-        raise MetricDomainError(f"the curvature is not finite at {tuple(point)}") from err
+        raise MetricDomainError(
+            f"the curvature operator's norm is not finite at {tuple(point)}"
+        ) from err
 
 
 def curvature_at(metric: DiagonalMetric, point):
@@ -467,8 +506,8 @@ def curvature_at(metric: DiagonalMetric, point):
     (pair symmetry) before the symmetrized operator is returned.
     """
     raw = frame_curvature_raw(metric, point)
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    defect = float(np.max(np.abs(raw - raw.T)))
+    scale = max(1.0, float(abs(raw).max()))
+    defect = float(abs(raw - raw.T).max())
     if defect > 1e-9 * scale:
         raise AssertionError(
             f"pair-symmetry defect {defect:.3e} at {tuple(point)}; the frame "
@@ -525,10 +564,8 @@ def christoffel_oracle(metric: DiagonalMetric, point):
     Used only to verify :func:`curvature_at`; the two routes share nothing
     beyond exact symbolic differentiation of the scale functions.
     """
-    raw = _at(
-        metric, point, "oracle curvature components", _coordinate_curvature_exprs, metric.key
-    )
-    return _curvature_operator(raw, point)
+    raw = _at(metric, point, "oracle curvature components", _coordinate_curvature_exprs)
+    return _curvature_operator(raw.reshape(6, 6), point)
 
 
 def _nabla_j_exprs(metric_key, j_key):
@@ -559,10 +596,7 @@ def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
     structure must satisfy over an orthogonal chart (four derivative
     directions times three coefficients); a Kaehler pair zeroes all of them.
     A residual that is not finite at the point is a domain error."""
-    j_field.values(point)
-    return _at(
-        metric, point, "nabla J residuals", _nabla_j_exprs, metric.key, j_field.key
-    ).reshape(12)
+    return _at(metric, point, "nabla J residuals", _nabla_j_exprs, j_field)
 
 
 _CROSS_LABELS = (
@@ -594,8 +628,8 @@ def unitary_product_check(metric: DiagonalMetric, point, tol=1e-10):
     """Check that a1, a2 only depend on (x1, x2) and a3, a4 on (x3, x4) at
     the point, through the eight frame cross-derivatives; a cross-derivative
     that is not finite there is a domain error, never a pass."""
-    vals = _at(metric, point, "cross-derivatives", _cross_derivative_exprs, metric.key)
-    residuals = dict(zip(_CROSS_LABELS, vals.reshape(8).tolist()))
+    vals = _at(metric, point, "cross-derivatives", _cross_derivative_exprs)
+    residuals = dict(zip(_CROSS_LABELS, vals.tolist()))
     failed = tuple(name for name, v in residuals.items() if abs(v) > tol)
     return UnitaryProductReport(
         residuals=residuals,

@@ -46,19 +46,19 @@ class CurvatureOperator:
 
     def __init__(self, matrix):
         try:
-            m = np.array(matrix, dtype=float)
+            m = np.asarray(matrix, dtype=float)
         except (TypeError, OverflowError) as err:
             raise ValueError("a curvature operator is a 6x6 matrix of numbers") from err
         if m.shape != (6, 6):
             raise ValueError("a curvature operator is a 6x6 matrix")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("curvature operator entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(m))))
+        scale = max(1.0, float(abs(m).max()))
         if scale > _NORM_SAFE_ENTRY:
             with np.errstate(over="ignore"):
                 if not np.isfinite(np.linalg.norm(m)):
                     raise ValueError("curvature operator norm overflows double precision")
-        defect = float(np.max(np.abs(m - m.T)))
+        defect = float(abs(m - m.T).max())
         if defect > SYMMETRY_TOL * scale:
             raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
         m = 0.5 * (m + m.T)

@@ -538,8 +538,12 @@ _NOT_REAL = "the scale functions are not real at (-0.5, 0.0, 0.0, 0.0)"
         # sympy folds both to x1**(3/2), which Python's ** makes complex for x1 < 0
         ("1+sqrt(x1)^3", "-0.5,0,0,0", _NOT_REAL),
         ("1+x1*sqrt(x1)", "-0.5,0,0,0", _NOT_REAL),
+        # Python's float power raises OverflowError(errno, reason); only the
+        # reason is printed
+        ("x1^100000000", "2,0,0,0",
+         "the metric is not defined at (2.0, 0.0, 0.0, 0.0): Numerical result out of range"),
     ],
-    ids=["int-beyond-double", "sqrt-cubed", "x1-times-sqrt"],
+    ids=["int-beyond-double", "sqrt-cubed", "x1-times-sqrt", "float-power-overflow"],
 )
 def test_scale_outside_real_doubles_exits_2(command, a1, point, message, tmp_path, capsys):
     path = tmp_path / "metric.json"
@@ -547,6 +551,19 @@ def test_scale_outside_real_doubles_exits_2(command, a1, point, message, tmp_pat
     assert main([*command, "--input", str(path), "--point", point]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_curvature_norm_overflow_is_named(fmt, tmp_path, capsys):
+    # R_1212 = -2e200 is finite; the operator's norm is what overflows
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"a1": "1+10^200*x2^2", "a2": "1", "a3": "1", "a4": "1"}))
+    argv = ["metric-curvature", "--input", str(path), "--point", "0,0,0,0", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the curvature operator's norm is not finite at (0.0, 0.0, 0.0, 0.0)\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -22,6 +22,7 @@ from curv4 import (
     nabla_J_residuals,
     unitary_product_check,
 )
+import curv4.metrics
 from curv4.metrics import (
     _column,
     _compiled,
@@ -30,6 +31,7 @@ from curv4.metrics import (
     _cross_derivative_exprs,
     _frame_curvature_exprs,
     _gamma_exprs,
+    _inputs_first,
     _nabla_j_exprs,
     _validate_expr,
 )
@@ -293,6 +295,70 @@ def test_jfield_nan_values_rejected():
         nabla_J_residuals(metric, j, (0.5, 0.0, 0.0, 0.0))
 
 
+# --- one compiled call per route --------------------------------------------------
+
+_ROUTES = [
+    pytest.param(lambda m, j, p: curvature_at(m, p), id="curvature_at"),
+    pytest.param(lambda m, j, p: frame_curvature_raw(m, p), id="frame_curvature_raw"),
+    pytest.param(lambda m, j, p: christoffel_oracle(m, p), id="christoffel_oracle"),
+    pytest.param(lambda m, j, p: connection_coeffs(m, p), id="connection_coeffs"),
+    pytest.param(lambda m, j, p: unitary_product_check(m, p), id="unitary_product_check"),
+    pytest.param(lambda m, j, p: nabla_J_residuals(m, j, p), id="nabla_J_residuals"),
+]
+
+_ORIGIN = (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_each_route_makes_one_compiled_call_per_point(route, monkeypatch):
+    # the scales and structure coefficients the route checks come from the
+    # same call as its entries
+    evaluate = curv4.metrics._evaluate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(curv4.metrics, "_evaluate", counted)
+    metric, j_field = DiagonalMetric(*PRODUCT_SCALES), JField("1", "0", "0")
+    points = [(0.15, -0.2, 0.1, 0.25), _ORIGIN, (-0.3, 0.05, 0.2, -0.1)]
+    for point in points:
+        route(metric, j_field, point)
+    assert len(calls) == len(points)
+
+
+# a1 vanishes at the origin; with a3 = 1 + x1, every route divides by a1
+_ZERO_SCALES = [
+    # a flat metric: the entries are structural zeros, so no route divides
+    pytest.param(("x1", "1", "1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="flat"),
+    # every route raises ZeroDivisionError on the Python float a1 = 0.0
+    pytest.param(("x1+x2+x3+x4", "1", "1+x1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="divides"),
+    # numpy divides by sqrt(0.0) in some routes; the suite's warning filter
+    # raises its RuntimeWarning
+    pytest.param(("sqrt(x1+x2+x3+x4)", "1", "1+x1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="numpy-warns"),
+    # negative, so every entry is finite
+    pytest.param(("x1+x2+x3+x4-1", "1", "1+x1", "1"), "[-1.0, 1.0, 1.0, 1.0]", id="negative"),
+]
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("scales, got", _ZERO_SCALES)
+def test_scale_rule_precedes_route_errors(route, scales, got):
+    with pytest.raises(MetricDomainError) as err:
+        route(DiagonalMetric(*scales), JField("1", "0", "0"), _ORIGIN)
+    assert str(err.value) == f"scale functions must be positive at {_ORIGIN}; got {got}"
+
+
+@pytest.mark.parametrize("scales, got", _ZERO_SCALES)
+def test_structure_rule_precedes_scale_rule(scales, got):
+    with pytest.raises(MetricDomainError) as err:
+        nabla_J_residuals(DiagonalMetric(*scales), JField("2", "0", "0"), _ORIGIN)
+    assert str(err.value) == (
+        f"structure coefficients must have unit norm at {_ORIGIN}; got [2.0, 0.0, 0.0]"
+    )
+
+
 # --- product splitting check ----------------------------------------------------
 
 def test_unitary_product_check_passes_for_product():
@@ -326,17 +392,18 @@ _METRIC_SAMPLES = sorted(
 
 
 def _builds(metric, j_field):
-    """Every (builder, keys) a metric and its structure field compile."""
-    m = (metric.key,)
-    builds = [
-        (_column, m),
-        (_frame_curvature_exprs, m),
-        (_coordinate_curvature_exprs, m),
-        (_cross_derivative_exprs, m),
-        (_gamma_exprs, m),
-    ]
+    """Every (builder, keys) a metric and its structure field compile: each
+    field column alone, and each route behind the fields it checks."""
+    routes = (
+        _frame_curvature_exprs, _coordinate_curvature_exprs, _cross_derivative_exprs, _gamma_exprs,
+    )
+    builds = [(_column, (metric.key,))]
+    builds += [(_inputs_first, (route, metric.key)) for route in routes]
     if j_field is not None:
-        builds += [(_column, (j_field.key,)), (_nabla_j_exprs, (metric.key, j_field.key))]
+        builds += [
+            (_column, (j_field.key,)),
+            (_inputs_first, (_nabla_j_exprs, metric.key, j_field.key)),
+        ]
     return builds
 
 
