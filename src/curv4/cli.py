@@ -8,7 +8,7 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed
 error.  Reports go to standard output as stable "key: value" text or as
 a single JSON document with sorted keys; floats use the shortest
 round-trip representation, so output is byte-identical for identical
-inputs and seed.
+inputs.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .bivectors import FrameRotation
 from .kahler import (
+    KahlerFrameView,
     build_const_hol_sec,
     build_surface_product,
     from_unitary_frame,
-    kaehler_residuals,
     structure_from_dict,
 )
 from .metrics import (
@@ -68,19 +68,15 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def common(p):
         p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if seeded:
-            # accepted for compatibility; the frame is built in closed form
-            p.add_argument("--seed", type=int, default=0, help="accepted; no effect")
-            p.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
 
     p = sub.add_parser("decompose", help="split an operator into its five invariant parts")
     p.add_argument("--input", required=True)
     common(p)
 
-    p = sub.add_parser("kahler-check", help="evaluate the twelve Kaehler conditions")
+    p = sub.add_parser("kahler-check", help="check RJ = JR = R and the twelve Kaehler lines")
     p.add_argument("--input", required=True)
     p.add_argument("--frame", default=None, help="optional frame file {'Q': 4x4}")
     common(p)
@@ -92,14 +88,18 @@ def _build_parser():
 
     p = sub.add_parser("frame-search", help="closed-form frame with the smallest distinct-index residual")
     p.add_argument("--input", required=True)
-    common(p, seeded=True)
+    # no effect on the result; kept only because bench/workloads.py and
+    # bench/clidocs.py pass them (ROADMAP item 7 removes them with that bench)
+    p.add_argument("--seed", type=int, default=0, help="accepted; no effect")
+    p.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
+    common(p)
 
     p = sub.add_parser("theorem", help="run one of the obstruction checks")
     p.add_argument("which", choices=("self-dual", "ricci-flat", "unitary-product"))
     p.add_argument("--input", default=None)
     p.add_argument("--coeffs", default=None, help="comma-separated unit triple")
     p.add_argument("--point", default="0,0,0,0")
-    common(p, seeded=True)
+    common(p)
 
     return parser
 
@@ -137,6 +137,8 @@ def _operator_from_doc(doc):
         if not (isinstance(params, list) and len(params) == arity):
             raise ValueError(f"builder {name!r} takes {arity} parameter(s)")
         try:
+            if any(isinstance(p, bool) for p in params):  # float() reads them as 0/1
+                raise TypeError("a JSON boolean is not a number")
             values = [float(p) for p in params]
         except (TypeError, OverflowError) as err:
             raise ValueError(f"builder {name!r} takes numeric parameters") from err
@@ -231,16 +233,15 @@ def _cmd_kahler_check(args):
     structure = structure if structure is not None else from_unitary_frame()
     if args.frame is not None:
         frame = _load_frame(args.frame)
-    frame = frame if frame is not None else FrameRotation.identity()
-    lines = kaehler_residuals(op, structure, frame)
-    worst = float(np.max(np.abs(lines)))
-    passed = worst <= args.tolerance * max(1.0, op.norm())
+    view = KahlerFrameView(op, structure, frame if frame is not None else FrameRotation.identity())
+    passed = view.is_kaehler(args.tolerance)
     payload = _base_payload(args)
     payload.update(
         {
-            "residuals": {f"line_{k + 1:02d}": float(v) for k, v in enumerate(lines)},
-            "max_residual": worst,
-            "passed": bool(passed),
+            "residuals": {f"line_{k + 1:02d}": float(v) for k, v in enumerate(view.lines)},
+            "max_residual": view.max_line,
+            "operator_defect": view.defect,
+            "passed": passed,
         }
     )
     return payload, not passed
@@ -282,15 +283,16 @@ def _cmd_metric_curvature(args):
 
 
 def _cmd_frame_search(args):
+    if args.restarts < 1:
+        raise InputError("--restarts must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     op, _, _ = _load_operator(args.input)
     result = frame_search(op, restarts=args.restarts, seed=args.seed, tol=args.tolerance)
     payload = _base_payload(args)
     payload.update(
         {
-            "seed": args.seed,
-            "restarts": args.restarts,
             "residual": result.residual,
-            "restart_index": result.restart_index,
             "conclusive": bool(result.conclusive),
             "frame": [[float(v) for v in row] for row in result.frame.matrix],
         }
@@ -305,13 +307,7 @@ def _cmd_theorem(args):
         if args.input is None:
             raise InputError("theorem self-dual needs --input")
         op, structure, _ = _load_operator(args.input)
-        report = run_obstruction_suite(
-            op,
-            structure,
-            tolerance=args.tolerance,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
+        report = run_obstruction_suite(op, structure, tolerance=args.tolerance)
         payload.update(report.to_dict())
         return payload, report.verdict not in PASSING_VERDICTS
     if args.which == "ricci-flat":
@@ -356,16 +352,6 @@ _DISPATCH = {
 }
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"unserializable object {obj!r}")
-
-
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -375,16 +361,14 @@ def _flatten(obj, prefix=""):
         if isinstance(obj, str):
             yield name, obj
         else:
-            yield name, json.dumps(obj, default=_json_default, allow_nan=False)
+            yield name, json.dumps(obj, allow_nan=False)
 
 
 def emit_report(payload, fmt):
     """Render a report dict as deterministic text or JSON; a value that is
     not finite raises ValueError in both formats."""
     if fmt == "json":
-        return json.dumps(
-            payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False
-        )
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     return "\n".join(f"{key}: {value}" for key, value in _flatten(payload))
 
 
@@ -411,10 +395,6 @@ def main(argv=None):
     try:
         if not 0.0 < args.tolerance < np.inf:
             raise InputError("--tolerance must be positive and finite")
-        if getattr(args, "restarts", 1) < 1:
-            raise InputError("--restarts must be at least 1")
-        if getattr(args, "seed", 0) < 0:
-            raise InputError("--seed must be nonnegative")
         # every reported value is checked finite, so numpy's own warnings
         # about overflow or division by zero would only precede that verdict
         with np.errstate(all="ignore"):

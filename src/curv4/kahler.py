@@ -196,11 +196,14 @@ class KahlerFrameView:
     """What every Kaehler check reads of one operator in one frame for one
     structure, computed once: the rotated operator, the coefficients, the
     twelve lines and their largest absolute value, the holomorphic sums
-    d_1j = R_1j1j + R_klkl +/- 2 R_1jkl and the scale max(1, ||R||).
+    d_1j = R_1j1j + R_klkl +/- 2 R_1jkl, the operator defect
+    max(||RJ - R||, ||RJ - JR||) and the scale max(1, ||R||).
 
-    Construction cross-checks the lines against the frame-free conditions
-    RJ = JR = R: each line is a component of R applied to a J-antiinvariant
-    bivector, so it never exceeds ||RJ - R||, and all vanish with both defects.
+    The defect decides whether the operator is Kaehler (:meth:`is_kaehler`).
+    The lines are its second route, cross-checked on construction: each line
+    is a component of R applied to a J-antiinvariant bivector, so it never
+    exceeds ||RJ - R||, and all vanish with the defect.  The converse fails:
+    on a coordinate axis the lines miss directions that RJ = R excludes.
     """
 
     def __init__(self, r_op, structure, q: FrameRotation):
@@ -215,21 +218,23 @@ class KahlerFrameView:
         commute_defect = float(np.linalg.norm(m @ jext - jext @ m))
         self.scale = max(1.0, r_op.norm())
         self.max_line = float(np.max(np.abs(self.lines)))
+        self.defect = max(fixed_defect, commute_defect)
         if self.max_line > fixed_defect * (1.0 + 1e-6) + 1e-12 * self.scale:
             raise AssertionError(
                 "identity residuals exceed the operator defect ||RJ - R||"
             )
-        if (
-            max(fixed_defect, commute_defect) <= 1e-9 * self.scale
-            and self.max_line > 1e-8 * self.scale
-        ):
+        if self.defect <= 1e-9 * self.scale and self.max_line > 1e-8 * self.scale:
             raise AssertionError(
                 "operator satisfies RJ = JR = R but the identity lines do not vanish"
             )
 
+    def is_kaehler(self, tol):
+        """RJ = JR = R within tol * scale: the one Kaehler predicate."""
+        return self.defect <= tol * self.scale
+
     def require_kaehler(self, tol):
-        """Raise NonKahlerError unless every line is within tol * scale."""
-        if self.max_line > tol * self.scale:
+        """Raise NonKahlerError unless :meth:`is_kaehler`."""
+        if not self.is_kaehler(tol):
             raise NonKahlerError("operator does not satisfy the Kaehler conditions")
 
 

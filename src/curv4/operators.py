@@ -316,9 +316,16 @@ def operator_from_dict(doc):
         entries = []
         for item in doc["components"]:
             ijkl = item.get("ijkl") if isinstance(item, dict) else None
-            if not (isinstance(ijkl, (list, tuple)) and len(ijkl) == 4):
+            # a JSON boolean is not a number, although Python compares True == 1
+            if not (
+                isinstance(ijkl, (list, tuple))
+                and len(ijkl) == 4
+                and not any(isinstance(i, bool) for i in ijkl)
+            ):
                 raise ValueError(f"component entry needs a 4-index 'ijkl', got {item!r}")
             try:
+                if isinstance(item.get("value"), bool):  # float() reads it as 0/1
+                    raise TypeError("a JSON boolean is not a number")
                 entries.append((*ijkl, float(item["value"])))
             except (KeyError, TypeError, OverflowError) as err:
                 raise ValueError(f"component entry {item!r} needs a numeric 'value'") from err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,14 @@ from curv4 import (
     ComplexStructure,
     CurvatureOperator,
     FrameRotation,
+    bianchi_defect,
     build_const_hol_sec,
     build_surface_product,
     conjugate,
+    exact_nullspace,
+    extend_to_bivectors,
+    from_unitary_frame,
+    ricci,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +56,70 @@ def random_kahler_pair(rng):
     r_op = conjugate(base, q)
     structure = ComplexStructure(q.matrix.T @ STANDARD_J @ q.matrix)
     return r_op, structure
+
+
+# the 21 symmetric 6x6 matrices with a 1 in slot (a, b) and (b, a), a <= b
+_ROWS, _COLS = np.triu_indices(6)
+SYMMETRIC_BASIS = np.zeros((len(_ROWS), 6, 6))
+SYMMETRIC_BASIS[np.arange(len(_ROWS)), _ROWS, _COLS] = 1.0
+SYMMETRIC_BASIS[np.arange(len(_ROWS)), _COLS, _ROWS] = 1.0
+
+
+def _exact_condition_rows(conditions):
+    """Rows of the linear conditions f(R) = 0 on the symmetric basis, in
+    Fractions; every entry here is a multiple of 1/12."""
+    columns = []
+    for e in SYMMETRIC_BASIS:
+        twelfths = 12.0 * np.concatenate([np.ravel(f(e)) for f in conditions])
+        ints = np.rint(twelfths)
+        assert np.max(np.abs(twelfths - ints)) <= 1e-9
+        columns.append([Fraction(int(v), 12) for v in ints])
+    return [row for row in zip(*columns) if any(row)]
+
+
+KAEHLER_FAMILY_DIMENSIONS = {"kaehler": 9, "self-dual": 4, "ricci-flat": 5}
+
+
+@lru_cache(maxsize=None)
+def kaehler_family(kind):
+    """Exact basis (6x6 float matrices) of a family of algebraic Kaehler
+    curvature operators for the standard structure: the Bianchi identity with
+    RJ = R and RJ = JR ("kaehler"), plus W- = 0 ("self-dual"), or plus
+    Ricci = 0 ("ricci-flat").  W- is the traceless part of P R P with
+    P = (Id - *)/2 the projection onto the anti-self-dual forms."""
+    jext = extend_to_bivectors(from_unitary_frame())
+    proj = 0.5 * (np.eye(6) - HODGE_MATRIX)
+
+    def weyl_minus(m):
+        block = proj @ m @ proj
+        return block - (np.trace(block) / 3.0) * proj
+
+    conditions = [
+        lambda m: bianchi_defect(CurvatureOperator(m)),
+        lambda m: m @ jext - m,
+        lambda m: m @ jext - jext @ m,
+    ]
+    if kind == "self-dual":
+        conditions.append(weyl_minus)
+    elif kind == "ricci-flat":
+        conditions.append(lambda m: ricci(CurvatureOperator(m)))
+    basis = exact_nullspace(_exact_condition_rows(conditions), len(SYMMETRIC_BASIS))
+    return np.tensordot(np.array(basis, dtype=float), SYMMETRIC_BASIS, axes=1)
+
+
+def kaehler_family_members(kind, rng, count):
+    """``count`` random (matrix, J) members of :func:`kaehler_family`, every
+    second one carried with its structure into a random frame."""
+    basis = kaehler_family(kind)
+    for k in range(count):
+        m = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
+        m *= 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(m)
+        j = STANDARD_J
+        if k % 2:
+            q = random_rotation(rng)
+            m = conjugate(CurvatureOperator(m), q).matrix
+            j = q.matrix.T @ STANDARD_J @ q.matrix
+        yield m, j
 
 
 @pytest.fixture

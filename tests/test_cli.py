@@ -7,12 +7,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, SAMPLE_DIR
+from conftest import (
+    KAEHLER_FAMILY_DIMENSIONS,
+    REPO_ROOT,
+    SAMPLE_DIR,
+    SYMMETRIC_BASIS,
+    kaehler_family_members,
+)
+from curv4 import extend_to_bivectors, from_unitary_frame
 from curv4.cli import emit_report, main
+from curv4.obstructions import _constraint_blocks
 
 # Every documented invocation with its contracted exit code; the acceptance
 # suite replays this table.
@@ -345,6 +354,79 @@ def test_negative_seed_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["theorem", "self-dual", "--input", "const_hol_sec.json", "--restarts", "32"],
+        ["theorem", "ricci-flat", "--coeffs", "1,0,0", "--seed", "0"],
+        ["theorem", "unitary-product", "--input", "product_metric.json", "--restarts", "0"],
+    ],
+)
+def test_theorem_takes_no_search_flags(args, capsys):
+    # no theorem runs a search, so a search flag is an unknown option
+    assert main(resolve(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"builder": "const-hol-sec", "params": [True]},
+        {"builder": "surface-product", "params": [1.0, False]},
+        {"components": [{"ijkl": [True, 2, 1, 2], "value": 1.0}]},
+        {"components": [{"ijkl": [1, 2, 1, 2], "value": True}]},
+    ],
+    ids=["const-hol-sec-params", "surface-product-params", "component-ijkl", "component-value"],
+)
+def test_json_boolean_is_not_a_number(doc, tmp_path, capsys):
+    # float(True) is 1.0 and True == 1, but a JSON boolean is a field of the
+    # wrong type, like the string "2" as an index
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
+
+
+def _axis_line_operator():
+    """A symmetric operator satisfying the Bianchi identity and the twelve
+    lines of the structure with coefficients (1, 0, 0) in the identity
+    frame, but not RJ = R: on this axis the lines are weaker than RJ = JR = R
+    (12 dimensions against 9).  Scaled to largest entry 1."""
+    bianchi, axis_lines, _, _ = _constraint_blocks()
+    _, sv, vt = np.linalg.svd(np.vstack([bianchi, axis_lines[0]]))
+    members = np.tensordot(vt[int(np.sum(sv > 1e-10 * sv[0])):], SYMMETRIC_BASIS, axes=1)
+    assert len(members) == 12
+    jext = extend_to_bivectors(from_unitary_frame())
+    m = max(members, key=lambda m: np.linalg.norm(m @ jext - m))
+    return m / np.max(np.abs(m))
+
+
+def test_kahler_check_fails_an_operator_only_the_lines_accept(tmp_path, capsys):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"matrix": _axis_line_operator().tolist()}))
+    assert main(["kahler-check", "--input", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_residual"] <= 1e-12 and payload["operator_defect"] > 0.5
+    assert payload["passed"] is False
+    # the theorem pipeline reads the same predicate
+    assert main(["theorem", "self-dual", "--input", str(path)]) == 1
+    assert "notes: [\"operator is not Kaehler" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", sorted(KAEHLER_FAMILY_DIMENSIONS))
+def test_kahler_check_passes_every_kaehler_family_member(kind, tmp_path, capsys):
+    # members of the exact Kaehler families, as given and in random frames
+    # with the structure carried along
+    path = tmp_path / "operator.json"
+    for m, j in kaehler_family_members(kind, np.random.default_rng(16), 20):
+        path.write_text(json.dumps({"matrix": m.tolist(), "J": j.tolist()}))
+        assert main(["kahler-check", "--input", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True and payload["operator_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize(
     "args, flag, value",
     [
         (["theorem", "ricci-flat"], "--coeffs", "-0.6,0,0.8"),
@@ -446,14 +528,15 @@ _METRIC_DOC = _spoiled(st.fixed_dictionaries(
 _POINT = st.sampled_from(
     ["0.5,-0.25,0.1,2", "-0.1,0,0,0", "0,0,0,0", "2,0,0,0", "nan,0,0,0", "1,2", "a,b,c,d"]
 )
-# the search flags are accepted and do not change the result; 0 restarts exits 2
+# frame-search accepts the search flags, which do not change the result;
+# 0 restarts exits 2
 _SEARCH_FLAGS = st.sampled_from(
     [[], ["--restarts", "1"], ["--restarts", "4", "--seed", "7"], ["--restarts", "0"]]
 )
 _INVOCATION = st.one_of(
     st.tuples(st.just(["decompose"]), _OPERATOR_DOC, st.none()),
     st.tuples(st.just(["frame-search"]), _OPERATOR_DOC, _SEARCH_FLAGS),
-    st.tuples(st.just(["theorem", "self-dual"]), _OPERATOR_DOC, _SEARCH_FLAGS),
+    st.tuples(st.just(["theorem", "self-dual"]), _OPERATOR_DOC, st.none()),
     st.tuples(st.just(["kahler-check"]), _OPERATOR_DOC,
               st.none() | _spoiled(st.fixed_dictionaries({"Q": _MATRIX4}))),
     st.tuples(st.just(["metric-curvature"]), _METRIC_DOC, _POINT),
