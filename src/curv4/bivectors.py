@@ -11,6 +11,7 @@ coefficients.  Every module in this package uses this ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,6 +148,7 @@ class FrameRotation:
         object.__setattr__(self, "matrix", q)
 
     @staticmethod
+    @lru_cache(maxsize=None)  # one shared instance: frozen, with a read-only matrix
     def identity():
         return FrameRotation(np.eye(4))
 

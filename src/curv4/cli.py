@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -104,16 +105,28 @@ def _build_parser():
     return parser
 
 
-def _load_json(path):
+def _load_json(path, matrix_keys=()):
+    """The JSON document at path.  Under ``matrix_keys`` a JSON boolean is
+    refused, since numpy reads it as the number 0 or 1."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as err:
         raise InputError(f"{path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
         raise InputError(
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    for key in matrix_keys:
+        if isinstance(doc, dict) and _holds_boolean(doc.get(key)):
+            raise InputError(f"{path}: '{key}' entries must be numbers, not booleans")
+    return doc
+
+
+def _holds_boolean(value):
+    if isinstance(value, list):
+        return any(_holds_boolean(v) for v in value)
+    return isinstance(value, bool)
 
 
 # The canonical Kaehler builders are addressable by name in operator files:
@@ -147,7 +160,7 @@ def _operator_from_doc(doc):
 
 
 def _load_operator(path):
-    doc = _load_json(path)
+    doc = _load_json(path, ("matrix", "J", "frame"))
     try:
         op = _operator_from_doc(doc)
         structure = structure_from_dict(doc) if "J" in doc else None
@@ -168,7 +181,7 @@ def _load_metric(path):
 
 
 def _load_frame(path):
-    doc = _load_json(path)
+    doc = _load_json(path, ("Q",))
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError(f"{path}: frame document needs a 'Q' key")
     try:
@@ -408,7 +421,15 @@ def main(argv=None):
         # a metric outside its domain at the point is an input error too
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(report)
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does); the verdict
+        # stands, and the flush at exit must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if failed else 0
 
 

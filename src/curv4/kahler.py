@@ -26,6 +26,7 @@ from .bivectors import (
     Bivector,
     FrameRotation,
     induced_map,
+    pair_slot,
     sd_project,
 )
 from .operators import (
@@ -154,24 +155,54 @@ def extend_to_bivectors(structure: ComplexStructure):
     return induced_map(structure.matrix)
 
 
+def _component_gather(components):
+    """Row, column and sign arrays that read each R_ijkl as sign * m[row, col],
+    the entry and sign :meth:`CurvatureOperator.component` reads."""
+    rows, cols, signs = [], [], []
+    for i, j, k, l in components:
+        a, sa = pair_slot(i, j)
+        b, sb = pair_slot(k, l)
+        rows.append(b)
+        cols.append(a)
+        signs.append(sa * sb)
+    return np.array(rows), np.array(cols), np.array(signs)
+
+
+# The 18 components the twelve lines read, in the order _identity_lines
+# unpacks them.
+_LINE_ROWS, _LINE_COLS, _LINE_SIGNS = _component_gather(
+    (
+        (1, 2, 1, 2), (3, 4, 3, 4), (1, 3, 1, 3), (2, 4, 2, 4), (1, 4, 1, 4), (2, 3, 2, 3),
+        (1, 2, 1, 3), (4, 2, 4, 3), (2, 1, 2, 4), (3, 1, 3, 4),
+        (1, 2, 1, 4), (3, 2, 3, 4), (2, 1, 2, 3), (4, 1, 4, 3),
+        (1, 3, 1, 4), (2, 3, 2, 4), (4, 1, 4, 2), (3, 1, 3, 2),
+    )
+)
+
+
 def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
     """The twelve linear conditions on curvature components, evaluated as
     left-minus-right residuals in the frame the components refer to, and
     the holomorphic sums (d12, d13, d14) they are built from."""
-    c = r_op.component
+    (
+        c1212, c3434, c1313, c2424, c1414, c2323,
+        c1213, c4243, c2124, c3134,
+        c1214, c3234, c2123, c4143,
+        c1314, c2324, c4142, c3132,
+    ) = (_LINE_SIGNS * r_op.matrix[_LINE_ROWS, _LINE_COLS]).tolist()
     rho = ricci(r_op)
     a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
 
     r1234, r1324, r1423 = distinct_index_components(r_op)
-    d12 = c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * r1234
-    d13 = c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * r1324
-    d14 = c(1, 4, 1, 4) + c(2, 3, 2, 3) + 2.0 * r1423
-    e12 = c(1, 2, 1, 2) - c(3, 4, 3, 4)
-    e13 = c(1, 3, 1, 3) - c(2, 4, 2, 4)
-    e14 = c(1, 4, 1, 4) - c(2, 3, 2, 3)
-    g12 = (c(1, 2, 1, 3) - c(4, 2, 4, 3)) + (c(2, 1, 2, 4) - c(3, 1, 3, 4))
-    g13 = (c(1, 2, 1, 4) - c(3, 2, 3, 4)) - (c(2, 1, 2, 3) - c(4, 1, 4, 3))
-    g14 = (c(1, 3, 1, 4) - c(2, 3, 2, 4)) - (c(4, 1, 4, 2) - c(3, 1, 3, 2))
+    d12 = c1212 + c3434 + 2.0 * r1234
+    d13 = c1313 + c2424 - 2.0 * r1324
+    d14 = c1414 + c2323 + 2.0 * r1423
+    e12 = c1212 - c3434
+    e13 = c1313 - c2424
+    e14 = c1414 - c2323
+    g12 = (c1213 - c4243) + (c2124 - c3134)
+    g13 = (c1214 - c3234) - (c2123 - c4143)
+    g14 = (c1314 - c2324) - (c4142 - c3132)
 
     lines = np.array(
         [
@@ -206,9 +237,10 @@ class KahlerFrameView:
     on a coordinate axis the lines miss directions that RJ = R excludes.
     """
 
-    def __init__(self, r_op, structure, q: FrameRotation):
+    def __init__(self, r_op, structure, q: FrameRotation, rotated=None):
+        # rotated: r_op already conjugated into q, when the caller has it
         self.operator, self.frame = r_op, q
-        self.rotated = conjugate(r_op, q)
+        self.rotated = conjugate(r_op, q) if rotated is None else rotated
         self.coeffs = coeffs_in_frame(structure, q)
         self.lines, self.holomorphic_sums = _identity_lines(self.rotated, self.coeffs)
 

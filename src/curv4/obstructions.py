@@ -83,9 +83,10 @@ def _iso_exp(v, gens):
 # Distinct-index residual and the closed-form frame that minimizes it.
 
 
-def distinct_index_residual(r_op, q: FrameRotation):
+def distinct_index_residual(r_op, q: FrameRotation | None):
     """Sum of squares of the three distinct-index components in the rotated
-    frame; zero exactly when the frame satisfies the necessary condition for
+    frame, or in the frame the components already refer to when q is None;
+    zero exactly when the frame satisfies the necessary condition for
     orthogonal coordinates.
 
     In the adapted basis of any frame (R_1234, -R_1324, R_1423) equals
@@ -98,11 +99,7 @@ def distinct_index_residual(r_op, q: FrameRotation):
     by the condition is therefore *which* frames achieve it, not whether one
     exists.
     """
-    return _sum_of_squares(conjugate(r_op, q))
-
-
-def _sum_of_squares(rotated):
-    # the residual of the frame an operator's components already refer to
+    rotated = r_op if q is None else conjugate(r_op, q)
     return float(sum(c * c for c in distinct_index_components(rotated)))
 
 
@@ -111,6 +108,7 @@ class FrameSearchResult:
     frame: FrameRotation
     residual: float
     conclusive: bool
+    rotated: CurvatureOperator  # the operator's components in ``frame``
 
 
 def _constant_diagonal_rotation(block, gens, sign, tol):
@@ -194,12 +192,14 @@ def frame_search(r_op, restarts=32, seed=0, tol=1e-10):
     )
     residual = _wedge_residual(r_op.matrix, frame.matrix)
     scale = max(1.0, norm)
-    if abs(residual - distinct_index_residual(r_op, frame)) > 1e-10 * scale * scale:
+    rotated = conjugate(r_op, frame)
+    if abs(residual - distinct_index_residual(rotated, None)) > 1e-10 * scale * scale:
         raise AssertionError("wedge pairing and rotated components disagree on the residual")
     return FrameSearchResult(
         frame=frame,
         residual=residual,
         conclusive=bool(residual <= tol * scale * scale),
+        rotated=rotated,
     )
 
 
@@ -243,7 +243,7 @@ def scalar_sign_check(r_op, structure, q: FrameRotation, tol=1e-9):
     pair sums R_1212+R_3434, R_1313+R_2424, R_1414+R_2323 equal (r/2) a_1j^2,
     hence share the sign of the scalar curvature."""
     view = KahlerFrameView(r_op, structure, q)
-    return _sign_report(view, _sum_of_squares(view.rotated), tol)
+    return _sign_report(view, distinct_index_residual(view.rotated, None), tol)
 
 
 def _sign_report(view, dres, tol):
@@ -315,7 +315,7 @@ def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=Non
     if dec.weyl_minus.norm() > tol * max(1.0, r_op.norm()):
         raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
     view = KahlerFrameView(r_op, structure, q)
-    return _classify(view, dec, _sum_of_squares(view.rotated), tol, coeff_tol)
+    return _classify(view, dec, distinct_index_residual(view.rotated, None), tol, coeff_tol)
 
 
 def _classify(view, dec, dres, tol, coeff_tol):
@@ -523,13 +523,46 @@ def _constraint_blocks():
     return rows[:1], rows[1:37].reshape(3, 12, -1), rows[37:47], rows[47:]
 
 
+@lru_cache(maxsize=None)
+def _fixed_nullspace(include_distinct_index):
+    """The part of the Ricci-flat system that does not depend on the triple,
+    solved once per process: the number of fixed rows, an orthonormal basis
+    N (n x 21) of the nullspace of the Bianchi, Ricci and (optionally)
+    distinct-index rows, and the three axis-line blocks restricted to it
+    (3 x 12 x n), all read-only.  The fixed rows have rank 13 with the
+    distinct-index rows (the Bianchi row is their signed sum) and 11
+    without, so n is 8 or 10."""
+    bianchi, axis_lines, ricci_rows, distinct = _constraint_blocks()
+    rows = [bianchi, ricci_rows]
+    if include_distinct_index:
+        rows.append(distinct)
+    fixed = np.vstack(rows)
+    _, sv, vt = np.linalg.svd(fixed)
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    if rank != (13 if include_distinct_index else 11):
+        raise AssertionError(f"the fixed Ricci-flat rows have rank {rank}")
+    basis = np.ascontiguousarray(vt[rank:])
+    restricted = axis_lines @ basis.T
+    basis.flags.writeable = restricted.flags.writeable = False
+    return fixed.shape[0], basis, restricted
+
+
 @dataclass(frozen=True)
 class NullspaceCertificate:
+    """``null_rows`` is an orthonormal basis of the nullspace in upper-triangle
+    weights (dimension x 21); ``singular_values`` are those of the twelve
+    Kaehler lines on the nullspace of the fixed rows."""
+
     dimension: int
     singular_values: np.ndarray
-    basis: tuple
+    null_rows: np.ndarray
     constraint_count: int
     rank_tolerance: float
+
+    @property
+    def basis(self):
+        """The nullspace basis as validated operators, built when read."""
+        return tuple(CurvatureOperator(mat) for mat in _symmetric(self.null_rows))
 
 
 def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
@@ -550,27 +583,28 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
     distinct-index family reopens the space further
     (``include_distinct_index=False`` is the control run).
 
-    The constraint rows are built once per process.  The twelve Kaehler
-    conditions are linear in the triple, so their rows are the triple times
-    the rows of the three axis structures, read off ``kaehler_residuals``.
+    Only the twelve Kaehler conditions depend on the triple, and linearly:
+    their rows are the triple times the rows of the three axis structures,
+    read off ``kaehler_residuals``.  The rows that do not depend on it are
+    solved once per process, so each call takes the rank of the twelve
+    lines on their nullspace N, a 12 x n system: the dimension is n minus
+    that rank.  ``constraint_count`` still counts every row imposed.
     """
     vals = tuple(float(v) for v in coeffs)
     if len(vals) != 3:
         raise ValueError("expected a coefficient triple")
     a12, a13, a14 = KahlerCoeffs(*vals).as_array()  # raises for non-unit triples
-    bianchi, axis_lines, ricci_rows, distinct = _constraint_blocks()
+    fixed_count, basis, axis_lines = _fixed_nullspace(include_distinct_index)
     lines = a12 * axis_lines[0] + a13 * axis_lines[1] + a14 * axis_lines[2]
-    rows = [bianchi, lines, ricci_rows]
-    if include_distinct_index:
-        rows.append(distinct)
-    constraints = np.vstack(rows)
-    _, sv, vt = np.linalg.svd(constraints)
+    _, sv, vt = np.linalg.svd(lines)
     rank = int(np.sum(sv > rank_tol * sv[0]))
+    null_rows = vt[rank:] @ basis
+    null_rows.flags.writeable = False
     return NullspaceCertificate(
-        dimension=_SYM_COUNT - rank,
+        dimension=basis.shape[0] - rank,
         singular_values=sv,
-        basis=tuple(CurvatureOperator(mat) for mat in _symmetric(vt[rank:])),
-        constraint_count=constraints.shape[0],
+        null_rows=null_rows,
+        constraint_count=fixed_count + lines.shape[0],
         rank_tolerance=float(rank_tol),
     )
 
@@ -618,7 +652,7 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9):
             )
         return report(verdict=VERDICT_INCONCLUSIVE, notes=tuple(notes))
 
-    view = KahlerFrameView(r_op, structure, q)
+    view = KahlerFrameView(r_op, structure, q, rotated=search.rotated)
     residuals["kaehler_identity_max"] = view.max_line
     residuals["kaehler_operator_defect"] = view.defect
     if not view.is_kaehler(tolerance):

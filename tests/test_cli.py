@@ -388,6 +388,39 @@ def test_json_boolean_is_not_a_number(doc, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
 
 
+_BOOLEAN_UNIT = [[True if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "command, doc, frame",
+    [
+        (["decompose"], {"matrix": [[True] + [0] * 5] + [[0] * 6] * 5}, None),
+        (
+            ["kahler-check"],
+            {"builder": "const-hol-sec", "params": [1.0],
+             "J": [[0, -1, 0, 0], [True, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
+            None,
+        ),
+        (["kahler-check"], {"builder": "const-hol-sec", "params": [1.0]}, {"Q": _BOOLEAN_UNIT}),
+    ],
+    ids=["matrix", "J", "Q"],
+)
+def test_json_boolean_in_a_matrix_exits_2(command, doc, frame, tmp_path, capsys):
+    # numpy reads true as 1.0, so each document is otherwise valid
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(doc))
+    argv = [*command, "--input", str(path)]
+    if frame is not None:
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps(frame))
+        argv += ["--frame", str(frame_path)]
+        path = frame_path
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "boolean" in captured.err
+
+
 def _axis_line_operator():
     """A symmetric operator satisfying the Bianchi identity and the twelve
     lines of the structure with coefficients (1, 0, 0) in the identity
@@ -692,6 +725,28 @@ def test_error_exit_prints_no_numpy_warning(args, doc, tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdict_code(unbuffered):
+    # a reader that stops early, as `| head -c 10` does: the read end is
+    # closed before the report is written, so every write fails with EPIPE
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curv4.cli", "theorem", "ricci-flat", "--coeffs", "1,0,0",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # --- sympy is imported only when a metric is built --------------------------------

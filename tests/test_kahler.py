@@ -26,7 +26,9 @@ from curv4 import (
     scalar_from_kaehler,
     structure_from_coeffs,
 )
+from curv4.kahler import _identity_lines
 from curv4.obstructions import cp2_example_frame
+from curv4.operators import distinct_index_components
 
 E = np.eye(4)
 
@@ -310,3 +312,51 @@ def test_scalar_flat_selfdual_forces_scalar_zero(rng):
             hits += 1
             assert abs(dec.r) <= 1e-7
     assert hits >= 15
+
+
+def _identity_lines_by_component(r_op, coeffs):
+    """Reference for _identity_lines: every component read by its own
+    CurvatureOperator.component call, with the same arithmetic."""
+    c = r_op.component
+    rho = ricci(r_op)
+    a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
+    r1234, r1324, r1423 = distinct_index_components(r_op)
+    d12 = c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * r1234
+    d13 = c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * r1324
+    d14 = c(1, 4, 1, 4) + c(2, 3, 2, 3) + 2.0 * r1423
+    e12 = c(1, 2, 1, 2) - c(3, 4, 3, 4)
+    e13 = c(1, 3, 1, 3) - c(2, 4, 2, 4)
+    e14 = c(1, 4, 1, 4) - c(2, 3, 2, 3)
+    g12 = (c(1, 2, 1, 3) - c(4, 2, 4, 3)) + (c(2, 1, 2, 4) - c(3, 1, 3, 4))
+    g13 = (c(1, 2, 1, 4) - c(3, 2, 3, 4)) - (c(2, 1, 2, 3) - c(4, 1, 4, 3))
+    g14 = (c(1, 3, 1, 4) - c(2, 3, 2, 4)) - (c(4, 1, 4, 2) - c(3, 1, 3, 2))
+    lines = np.array(
+        [
+            a12 * g12 - a13 * d12,
+            a12 * g13 - a14 * d12,
+            a13 * g12 - a12 * d13,
+            a13 * g14 - a14 * d13,
+            a14 * g13 - a12 * d14,
+            a14 * g14 - a13 * d14,
+            a12 * (rho[1, 2] + rho[0, 3]) - a13 * e12,
+            a12 * (rho[1, 3] - rho[0, 2]) - a14 * e12,
+            a13 * (rho[1, 2] - rho[0, 3]) - a12 * e13,
+            a13 * (rho[2, 3] + rho[0, 1]) - a14 * e13,
+            a14 * (rho[1, 3] + rho[0, 2]) - a12 * e14,
+            a14 * (rho[2, 3] - rho[0, 1]) - a13 * e14,
+        ]
+    )
+    return lines, (d12, d13, d14)
+
+
+def test_identity_lines_gather_matches_component_reads():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        m = rng.standard_normal((6, 6))
+        op = CurvatureOperator(m + m.T)
+        a = rng.standard_normal(3)
+        coeffs = KahlerCoeffs(*(a / np.linalg.norm(a)))
+        lines, sums = _identity_lines(op, coeffs)
+        expected_lines, expected_sums = _identity_lines_by_component(op, coeffs)
+        np.testing.assert_array_equal(lines, expected_lines)
+        assert sums == expected_sums

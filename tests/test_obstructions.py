@@ -56,6 +56,8 @@ from curv4.obstructions import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SPECIAL_FRAME,
     VERDICT_VIOLATION,
+    _constraint_blocks,
+    _fixed_nullspace,
     _iso_exp,
 )
 
@@ -485,9 +487,46 @@ def test_ricciflat_constraints_are_built_once(monkeypatch):
 
     monkeypatch.setattr(CurvatureOperator, "__init__", counting_init)
     cert = ricciflat_nullspace((2 / 7, 3 / 7, 6 / 7))
-    # only the returned basis members are operators; no constraint row is
-    # rebuilt from operators after the first call
-    assert built["operators"] == cert.dimension == 3
+    # no constraint row is rebuilt from operators after the first call, and
+    # the basis members become operators only when they are read
+    assert built["operators"] == 0
+    assert len(cert.basis) == built["operators"] == cert.dimension == 3
+
+
+_UPPER = np.triu_indices(6)
+# the rational unit triples of criterion 09
+_RATIONAL_TRIPLES = (
+    (1.0, 0.0, 0.0), (3 / 5, 4 / 5, 0.0), (2 / 3, 2 / 3, 1 / 3), (2 / 7, 3 / 7, 6 / 7)
+)
+
+
+@pytest.mark.parametrize("include_distinct_index", [True, False])
+def test_reduced_certificate_matches_the_full_stacked_system(include_distinct_index, rng):
+    # ricciflat_nullspace solves only the twelve lines on the nullspace of
+    # the fixed rows; the full stacked system must give the same dimension,
+    # and every basis member must satisfy all of its rows
+    bianchi, axis_lines, ricci_rows, distinct = _constraint_blocks()
+    fixed = [bianchi, ricci_rows] + ([distinct] if include_distinct_index else [])
+    ints = np.rint(np.vstack(fixed))
+    assert np.array_equal(ints, np.vstack(fixed))
+    exact_rank = 21 - len(exact_nullspace([[Fraction(int(x)) for x in row] for row in ints], 21))
+    fixed_count, basis, _ = _fixed_nullspace(include_distinct_index)
+    assert fixed_count == len(ints)
+    assert 21 - len(basis) == exact_rank == (13 if include_distinct_index else 11)
+
+    triples = [tuple(v / np.linalg.norm(v)) for v in rng.standard_normal((50, 3))]
+    triples += [tuple(sign * e) for e in np.eye(3) for sign in (1.0, -1.0)]
+    triples += list(_RATIONAL_TRIPLES)
+    for a in triples:
+        rows = np.vstack([fixed[0], np.tensordot(a, axis_lines, axes=1), *fixed[1:]])
+        sv = np.linalg.svd(rows, compute_uv=False)
+        cert = ricciflat_nullspace(a, include_distinct_index=include_distinct_index)
+        assert cert.dimension == 21 - int(np.sum(sv > 1e-10 * sv[0])), a
+        assert cert.constraint_count == len(rows) == (26 if include_distinct_index else 23)
+        weights = np.array([op.matrix[_UPPER] for op in cert.basis])
+        assert len(weights) == cert.dimension
+        np.testing.assert_allclose(weights @ weights.T, np.eye(cert.dimension), atol=1e-12)
+        assert np.max(np.abs(rows @ weights.T)) <= 1e-12, a
 
 
 def test_c_system_solved_once():
@@ -580,9 +619,9 @@ def test_suite_builds_each_kaehler_quantity_once(sample, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     report = run_obstruction_suite(op, structure)
     assert report.verdict in (VERDICT_SPECIAL_FRAME, VERDICT_CONFORMALLY_FLAT)
-    # one conjugation into the Kaehler frame, and one into the frame that
-    # frame_search returns, for the cross-check of its residual
-    assert counts == {**{name: 1 for name in targets}, "conjugate": 2}
+    # one conjugation into the frame that frame_search returns: its residual
+    # cross-check and the Kaehler view share the rotated operator
+    assert counts == {name: 1 for name in targets}
 
 
 @pytest.mark.parametrize("sample", ["const_hol_sec.json", "surface_product.json"])
