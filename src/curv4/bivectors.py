@@ -42,6 +42,34 @@ HODGE_MATRIX.flags.writeable = False
 ORTHOGONALITY_TOL = 1e-9
 
 
+def _real_array(value, shape, what):
+    """``value`` as a new float array of exactly ``shape`` with finite entries.
+
+    This is the one rule for numbers in caller data: each entry must be an
+    int or a float.  numpy would read a bool, a numeric string or the real
+    part of a complex number as a float, so those are refused, as is any
+    other type.  An int or float ndarray skips the walk over its entries.
+    """
+    walk = not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf")
+    if walk:
+        value = np.array(value, dtype=object)
+    if value.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {value.shape}")
+    if walk:
+        for entry in value.flat:
+            if isinstance(entry, (bool, np.bool_)):
+                raise ValueError(f"{what}: expected finite real numbers, got a boolean")
+            if not isinstance(entry, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{what}: expected finite real numbers, got {entry!r}")
+    try:
+        out = value.astype(float)
+    except OverflowError as err:  # an int beyond double range
+        raise ValueError(f"{what}: expected finite real numbers, {err}") from err
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what}: expected finite real numbers, got {out[~np.isfinite(out)][0]}")
+    return out
+
+
 def pair_slot(i, j):
     """Lexicographic slot of e_i^e_j (1-based indices) and the sign picked up
     by sorting the pair."""
@@ -59,9 +87,7 @@ class Bivector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.shape != (6,):
-            raise ValueError("a bivector has exactly 6 coefficients")
+        c = _real_array(self.coeffs, (6,), "bivector")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -88,10 +114,8 @@ class Bivector:
 
 def wedge(v, w):
     """v ^ w for two 4-vectors; bilinear and antisymmetric."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (4,) or w.shape != (4,):
-        raise ValueError("wedge expects two 4-vectors")
+    v = _real_array(v, (4,), "wedge factor")
+    w = _real_array(w, (4,), "wedge factor")
     c = np.empty(6)
     for slot, (i, j) in enumerate(LEX_PAIRS):
         c[slot] = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
@@ -130,14 +154,7 @@ class FrameRotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            q = np.array(self.matrix, dtype=float)
-        except (TypeError, OverflowError) as err:
-            raise ValueError("a frame rotation is a 4x4 matrix of numbers") from err
-        if q.shape != (4, 4):
-            raise ValueError("a frame rotation is a 4x4 matrix")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("frame rotation entries must be finite")
+        q = _real_array(self.matrix, (4, 4), "frame rotation")
         defect = float(np.max(np.abs(q.T @ q - np.eye(4))))
         if defect > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bivectors import FrameRotation
+from .bivectors import FrameRotation, _real_array
 from .kahler import (
     KahlerFrameView,
     build_const_hol_sec,
@@ -105,28 +105,16 @@ def _build_parser():
     return parser
 
 
-def _load_json(path, matrix_keys=()):
-    """The JSON document at path.  Under ``matrix_keys`` a JSON boolean is
-    refused, since numpy reads it as the number 0 or 1."""
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as err:
         raise InputError(f"{path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
         raise InputError(
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    for key in matrix_keys:
-        if isinstance(doc, dict) and _holds_boolean(doc.get(key)):
-            raise InputError(f"{path}: '{key}' entries must be numbers, not booleans")
-    return doc
-
-
-def _holds_boolean(value):
-    if isinstance(value, list):
-        return any(_holds_boolean(v) for v in value)
-    return isinstance(value, bool)
 
 
 # The canonical Kaehler builders are addressable by name in operator files:
@@ -146,26 +134,15 @@ def _operator_from_doc(doc):
                 f"unknown builder {name!r}; available: {sorted(_BUILDERS)}"
             )
         build, arity = _BUILDERS[name]
-        params = doc.get("params", [])
-        if not (isinstance(params, list) and len(params) == arity):
-            raise ValueError(f"builder {name!r} takes {arity} parameter(s)")
-        try:
-            if any(isinstance(p, bool) for p in params):  # float() reads them as 0/1
-                raise TypeError("a JSON boolean is not a number")
-            values = [float(p) for p in params]
-        except (TypeError, OverflowError) as err:
-            raise ValueError(f"builder {name!r} takes numeric parameters") from err
-        return build(*values)
+        return build(*_real_array(doc.get("params", []), (arity,), f"builder {name!r} params"))
     return operator_from_dict(doc)
 
 
 def _load_operator(path):
-    doc = _load_json(path, ("matrix", "J", "frame"))
+    doc = _load_json(path)
     try:
         op = _operator_from_doc(doc)
-        structure = structure_from_dict(doc) if "J" in doc else None
-        if structure is None and isinstance(doc, dict) and "builder" in doc:
-            structure = from_unitary_frame()
+        structure = structure_from_dict(doc) if "J" in doc else from_unitary_frame()
         frame = FrameRotation(doc["frame"]) if "frame" in doc else None
     except ValueError as err:
         raise InputError(f"{path}: {err}") from err
@@ -181,7 +158,7 @@ def _load_metric(path):
 
 
 def _load_frame(path):
-    doc = _load_json(path, ("Q",))
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError(f"{path}: frame document needs a 'Q' key")
     try:
@@ -243,7 +220,6 @@ def _cmd_decompose(args):
 
 def _cmd_kahler_check(args):
     op, structure, frame = _load_operator(args.input)
-    structure = structure if structure is not None else from_unitary_frame()
     if args.frame is not None:
         frame = _load_frame(args.frame)
     view = KahlerFrameView(op, structure, frame if frame is not None else FrameRotation.identity())

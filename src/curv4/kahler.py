@@ -25,6 +25,7 @@ from .bivectors import (
     PAIR_SECOND,
     Bivector,
     FrameRotation,
+    _real_array,
     induced_map,
     pair_slot,
     sd_project,
@@ -69,14 +70,7 @@ class ComplexStructure:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            j = np.array(self.matrix, dtype=float)
-        except (TypeError, OverflowError) as err:
-            raise ValueError("a complex structure is a 4x4 matrix of numbers") from err
-        if j.shape != (4, 4):
-            raise ValueError("a complex structure is a 4x4 matrix")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("complex structure entries must be finite")
+        j = _real_array(self.matrix, (4, 4), "complex structure")
         if np.max(np.abs(j.T @ j - np.eye(4))) > STRUCTURE_TOL:
             raise ValueError("complex structure must be orthogonal")
         if np.max(np.abs(j @ j + np.eye(4))) > STRUCTURE_TOL:

@@ -261,7 +261,7 @@ def metric_from_dict(doc):
     for name in ("a1", "a2", "a3", "a4"):
         if name not in doc:
             raise ValueError(f"metric document is missing {name!r}")
-    metric = DiagonalMetric(*(str(doc[name]) for name in ("a1", "a2", "a3", "a4")))
+    metric = DiagonalMetric(*(doc[name] for name in ("a1", "a2", "a3", "a4")))
     j_field = None
     if "J_field" in doc:
         jdoc = doc["J_field"]
@@ -270,7 +270,7 @@ def metric_from_dict(doc):
         for name in ("a12", "a13", "a14"):
             if name not in jdoc:
                 raise ValueError(f"J_field is missing {name!r}")
-        j_field = JField(str(jdoc["a12"]), str(jdoc["a13"]), str(jdoc["a14"]))
+        j_field = JField(jdoc["a12"], jdoc["a13"], jdoc["a14"])
     return metric, j_field
 
 

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .bivectors import FrameRotation, wedge
+from .bivectors import FrameRotation, _real_array, wedge
 from .kahler import (
     ComplexStructure,
     KahlerCoeffs,
@@ -297,7 +297,7 @@ class ObstructionReport:
         return doc
 
 
-def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=None):
+def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9):
     """Classify a self-dual Kaehler operator given a distinct-index-free frame.
 
     Either the scalar curvature vanishes (and with it the whole self-dual
@@ -306,22 +306,21 @@ def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9, coeff_tol=Non
     analysis attached).  Any other outcome contradicts the block form and
     is flagged as a violation.
 
-    ``coeff_tol`` bounds |a_1j^2 - 1/3| separately: a frame whose
-    distinct-index residual is eps pins the coefficients only to about
-    sqrt(eps).  The closed-form frame of :func:`frame_search` reaches a
-    residual at rounding level, but a supplied frame need only meet ``tol``.
+    The special frame allows |a_1j^2 - 1/3| up to max(tol, 1e-6), not
+    ``tol``: a frame whose distinct-index residual is eps pins the
+    coefficients only to about sqrt(eps).  The closed-form frame of
+    :func:`frame_search` reaches a residual at rounding level, but a supplied
+    frame need only meet ``tol``.
     """
     dec = decompose(r_op)
     if dec.weyl_minus.norm() > tol * max(1.0, r_op.norm()):
         raise ValueError("operator is not self-dual (anti-self-dual Weyl part present)")
     view = KahlerFrameView(r_op, structure, q)
-    return _classify(view, dec, distinct_index_residual(view.rotated, None), tol, coeff_tol)
+    return _classify(view, dec, distinct_index_residual(view.rotated, None), tol)
 
 
-def _classify(view, dec, dres, tol, coeff_tol):
+def _classify(view, dec, dres, tol):
     # the caller has checked that dec has no anti-self-dual Weyl part
-    if coeff_tol is None:
-        coeff_tol = max(tol, 1e-6)
     view.require_kaehler(tol)
     _require_distinct_free(view, dres, tol)
 
@@ -349,7 +348,7 @@ def _classify(view, dec, dres, tol, coeff_tol):
         )
     coeff_defect = float(np.max(np.abs(a**2 - 1.0 / 3.0)))
     residuals["coefficient_defect"] = coeff_defect  # report() holds this same dict
-    if coeff_defect <= coeff_tol:
+    if coeff_defect <= max(tol, 1e-6):
         return report(verdict=VERDICT_SPECIAL_FRAME, cases=c_system_solve())
     return report(
         verdict=VERDICT_VIOLATION,
@@ -490,6 +489,9 @@ def case_summary(case: CSystemCase):
 _SYM_ROWS, _SYM_COLS = np.triu_indices(6)  # the 21 entries of a symmetric 6x6
 _SYM_COUNT = len(_SYM_ROWS)
 
+# A singular value counts toward a rank above this fraction of the largest.
+RANK_TOL = 1e-10
+
 
 def _symmetric(weights):
     """Symmetric 6x6 matrices from their upper-triangle entries (last axis)."""
@@ -538,7 +540,7 @@ def _fixed_nullspace(include_distinct_index):
         rows.append(distinct)
     fixed = np.vstack(rows)
     _, sv, vt = np.linalg.svd(fixed)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     if rank != (13 if include_distinct_index else 11):
         raise AssertionError(f"the fixed Ricci-flat rows have rank {rank}")
     basis = np.ascontiguousarray(vt[rank:])
@@ -565,7 +567,7 @@ class NullspaceCertificate:
         return tuple(CurvatureOperator(mat) for mat in _symmetric(self.null_rows))
 
 
-def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
+def ricciflat_nullspace(coeffs, include_distinct_index=True):
     """Dimension (and basis) of the space of symmetric operators satisfying
     the first Bianchi identity, the twelve Kaehler conditions for the given
     unit coefficient triple, Ricci flatness, and (optionally) the vanishing
@@ -590,14 +592,12 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
     lines on their nullspace N, a 12 x n system: the dimension is n minus
     that rank.  ``constraint_count`` still counts every row imposed.
     """
-    vals = tuple(float(v) for v in coeffs)
-    if len(vals) != 3:
-        raise ValueError("expected a coefficient triple")
-    a12, a13, a14 = KahlerCoeffs(*vals).as_array()  # raises for non-unit triples
+    triple = _real_array(coeffs, (3,), "coefficient triple")
+    a12, a13, a14 = KahlerCoeffs(*triple).as_array()  # raises for non-unit triples
     fixed_count, basis, axis_lines = _fixed_nullspace(include_distinct_index)
     lines = a12 * axis_lines[0] + a13 * axis_lines[1] + a14 * axis_lines[2]
     _, sv, vt = np.linalg.svd(lines)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     null_rows = vt[rank:] @ basis
     null_rows.flags.writeable = False
     return NullspaceCertificate(
@@ -605,7 +605,7 @@ def ricciflat_nullspace(coeffs, rank_tol=1e-10, include_distinct_index=True):
         singular_values=sv,
         null_rows=null_rows,
         constraint_count=fixed_count + lines.shape[0],
-        rank_tolerance=float(rank_tol),
+        rank_tolerance=RANK_TOL,
     )
 
 
@@ -666,7 +666,7 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9):
 
     dec = decompose(r_op)
     if dec.weyl_minus.norm() <= tolerance * scale:
-        classified = _classify(view, dec, dres, tolerance, None)
+        classified = _classify(view, dec, dres, tolerance)
         return replace(classified, residuals={**classified.residuals, **residuals})
     if float(np.linalg.norm(ricci(r_op))) <= tolerance * scale:
         cert = ricciflat_nullspace(view.coeffs.as_array())

@@ -27,6 +27,7 @@ from .bivectors import (
     PAIR_FIRST,
     PAIR_SECOND,
     FrameRotation,
+    _real_array,
     induced_rotation,
     pair_slot,
     unit_sign,
@@ -45,14 +46,7 @@ class CurvatureOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        try:
-            m = np.asarray(matrix, dtype=float)
-        except (TypeError, OverflowError) as err:
-            raise ValueError("a curvature operator is a 6x6 matrix of numbers") from err
-        if m.shape != (6, 6):
-            raise ValueError("a curvature operator is a 6x6 matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("curvature operator entries must be finite")
+        m = _real_array(matrix, (6, 6), "curvature operator")
         scale = max(1.0, float(abs(m).max()))
         if scale > _NORM_SAFE_ENTRY:
             with np.errstate(over="ignore"):
@@ -204,9 +198,7 @@ def s_map(t):
     (lam_i + lam_j - tr T / 3)/2 on e_i^e_j, which tests use as an
     independent oracle.
     """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise ValueError("s_map expects a 4x4 matrix")
+    t = _real_array(t, (4, 4), "s_map argument")
     if np.max(np.abs(t - t.T)) > 1e-9 * max(1.0, float(np.max(np.abs(t)))):
         raise ValueError("s_map expects a symmetric matrix")
     tr = float(np.trace(t))
@@ -323,11 +315,7 @@ def operator_from_dict(doc):
                 and not any(isinstance(i, bool) for i in ijkl)
             ):
                 raise ValueError(f"component entry needs a 4-index 'ijkl', got {item!r}")
-            try:
-                if isinstance(item.get("value"), bool):  # float() reads it as 0/1
-                    raise TypeError("a JSON boolean is not a number")
-                entries.append((*ijkl, float(item["value"])))
-            except (KeyError, TypeError, OverflowError) as err:
-                raise ValueError(f"component entry {item!r} needs a numeric 'value'") from err
+            value = _real_array(item.get("value"), (), f"'value' of component entry {item!r}")
+            entries.append((*ijkl, float(value)))
         return from_components(entries)
     raise ValueError("operator document needs a 'matrix' or a 'components' key")

@@ -311,7 +311,7 @@ def test_criterion_09_ricci_flat_theorem():
     # the module docstring).  PAPER.md does not say which further conditions
     # the paper's algebraic argument adds, so this system alone does not force
     # R = 0.  Dimensions are checked by the SVD rank, then certified by an
-    # exact Fraction rank that does not depend on rank_tol; the control
+    # exact Fraction rank that does not depend on the rank cut; the control
     # without the distinct-index rows must be larger by exactly 2.
     rng = np.random.default_rng(9)
     start = time.perf_counter()

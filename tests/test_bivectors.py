@@ -113,12 +113,14 @@ def test_frame_rotation_validation():
         FrameRotation(SWAP_E3_E4)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, True, "1", 1 + 0j])
 def test_frame_rotation_rejects_non_finite_entries(value):
-    bad = np.eye(4)
-    bad[1, 2] = value
-    with pytest.raises(ValueError, match="finite"):
-        FrameRotation(bad)
+    # numpy would read True, "1" and 1+0j as 1.0, which leaves the identity
+    rows = np.eye(4).tolist()
+    rows[1][1] = value
+    for bad in (rows, np.array(rows, dtype=type(value))):
+        with pytest.raises(ValueError, match="finite"):
+            FrameRotation(bad)
 
 
 def test_random_rotation_is_valid(rng):

@@ -320,6 +320,31 @@ def test_malformed_documents_exit_2(command, doc, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+_UNIT_SCALES = {"a1": "1", "a2": "1", "a3": "1", "a4": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_UNIT_SCALES, "a1": 1},
+        {**_UNIT_SCALES, "a1": True},
+        {**_UNIT_SCALES, "a1": 1.5e-7},
+        {**_UNIT_SCALES, "J_field": {"a12": 1, "a13": "0", "a14": "0"}},
+    ],
+    ids=["scale-int", "scale-boolean", "scale-float", "j-field-int"],
+)
+def test_metric_expression_must_be_a_json_string(doc, tmp_path, capsys):
+    # an expression is parsed, never converted to text first: str() would
+    # make true the identifier True and 1.5e-7 a syntax error, yet pass 1
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metric-curvature", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: column 1: expression must be a string\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args, doc",
     [
@@ -375,8 +400,12 @@ def test_theorem_takes_no_search_flags(args, capsys):
         {"builder": "surface-product", "params": [1.0, False]},
         {"components": [{"ijkl": [True, 2, 1, 2], "value": 1.0}]},
         {"components": [{"ijkl": [1, 2, 1, 2], "value": True}]},
+        {"builder": "const-hol-sec", "params": ["2"]},
+        {"builder": "surface-product", "params": [1.0, "1"]},
+        {"components": [{"ijkl": [1, 2, 1, 2], "value": "1"}]},
     ],
-    ids=["const-hol-sec-params", "surface-product-params", "component-ijkl", "component-value"],
+    ids=["const-hol-sec-params", "surface-product-params", "component-ijkl", "component-value",
+         "const-hol-sec-params-string", "surface-product-params-string", "component-value-string"],
 )
 def test_json_boolean_is_not_a_number(doc, tmp_path, capsys):
     # float(True) is 1.0 and True == 1, but a JSON boolean is a field of the
@@ -388,25 +417,36 @@ def test_json_boolean_is_not_a_number(doc, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
 
 
-_BOOLEAN_UNIT = [[True if i == j else 0 for j in range(4)] for i in range(4)]
+def _matrix_with(one):
+    return {"matrix": [[one] + [0] * 5] + [[0] * 6] * 5}
+
+
+def _builder_with_j(one):
+    return {"builder": "const-hol-sec", "params": [1.0],
+            "J": [[0, -1, 0, 0], [one, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]}
+
+
+def _frame_with(one):
+    return {"Q": [[one if i == j else 0 for j in range(4)] for i in range(4)]}
+
+
+_CONST_HOL_SEC = {"builder": "const-hol-sec", "params": [1.0]}
 
 
 @pytest.mark.parametrize(
-    "command, doc, frame",
+    "command, doc, frame, word",
     [
-        (["decompose"], {"matrix": [[True] + [0] * 5] + [[0] * 6] * 5}, None),
-        (
-            ["kahler-check"],
-            {"builder": "const-hol-sec", "params": [1.0],
-             "J": [[0, -1, 0, 0], [True, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
-            None,
-        ),
-        (["kahler-check"], {"builder": "const-hol-sec", "params": [1.0]}, {"Q": _BOOLEAN_UNIT}),
+        (["decompose"], _matrix_with(True), None, "boolean"),
+        (["decompose"], _matrix_with("1"), None, "'1'"),
+        (["kahler-check"], _builder_with_j(True), None, "boolean"),
+        (["kahler-check"], _builder_with_j("1"), None, "'1'"),
+        (["kahler-check"], _CONST_HOL_SEC, _frame_with(True), "boolean"),
+        (["kahler-check"], _CONST_HOL_SEC, _frame_with("1"), "'1'"),
     ],
-    ids=["matrix", "J", "Q"],
+    ids=["matrix", "matrix-string", "J", "J-string", "Q", "Q-string"],
 )
-def test_json_boolean_in_a_matrix_exits_2(command, doc, frame, tmp_path, capsys):
-    # numpy reads true as 1.0, so each document is otherwise valid
+def test_json_boolean_in_a_matrix_exits_2(command, doc, frame, word, tmp_path, capsys):
+    # numpy reads true and "1" as 1.0, so each document is otherwise valid
     path = tmp_path / "operator.json"
     path.write_text(json.dumps(doc))
     argv = [*command, "--input", str(path)]
@@ -418,7 +458,7 @@ def test_json_boolean_in_a_matrix_exits_2(command, doc, frame, tmp_path, capsys)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: ") and "boolean" in captured.err
+    assert captured.err.startswith(f"error: {path}: ") and word in captured.err
 
 
 def _axis_line_operator():

@@ -63,6 +63,13 @@ def test_structure_rejects_non_finite_entries():
     bad[0, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         ComplexStructure(bad)
+    # numpy would read each as the entry 1.0 of STANDARD_J
+    for value in (True, "1", 1 + 0j):
+        rows = STANDARD_J.tolist()
+        rows[1][0] = value
+        for bad in (rows, np.array(rows, dtype=type(value))):
+            with pytest.raises(ValueError, match="finite"):
+                ComplexStructure(bad)
 
 
 def test_kahler_coeffs_reject_nan():

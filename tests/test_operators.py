@@ -101,14 +101,16 @@ def test_operator_requires_symmetry():
         CurvatureOperator(bad)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "1", 1 + 0j])
 def test_operator_rejects_non_finite_entries(value):
     # NaN passes the symmetry comparison (nan > tol is false), so it is
-    # rejected explicitly
-    bad = np.eye(6)
-    bad[2, 2] = value
-    with pytest.raises(ValueError, match="finite"):
-        CurvatureOperator(bad)
+    # rejected explicitly; numpy would read True, "1" and 1+0j as 1.0, in
+    # a nested list as in an array of their own type
+    rows = np.eye(6).tolist()
+    rows[2][2] = value
+    for bad in (rows, np.array(rows, dtype=type(value))):
+        with pytest.raises(ValueError, match="finite"):
+            CurvatureOperator(bad)
 
 
 def test_operator_rejects_an_overflowing_norm():
