@@ -14,7 +14,6 @@ from .bivectors import (
     LEX_PAIRS,
     PAIR_FIRST,
     PAIR_SECOND,
-    Bivector,
     FrameRotation,
     hodge_star,
     induced_map,

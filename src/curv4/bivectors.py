@@ -5,7 +5,8 @@ Coefficients live in the fixed lexicographic basis
     (e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4),
 
 which is orthonormal, so a bivector's squared norm is the sum of squared
-coefficients.  Every module in this package uses this ordering.
+coefficients.  A 2-form is a float array of its six coefficients in this
+basis, and every module in this package uses this ordering.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 LEX_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-_PAIR_SLOT = {pair: slot for slot, pair in enumerate(LEX_PAIRS)}
 
 # 0-based first and second index of each lexicographic pair.
 PAIR_FIRST = np.array([i - 1 for i, _ in LEX_PAIRS])
@@ -70,48 +70,6 @@ def _real_array(value, shape, what):
     return out
 
 
-def pair_slot(i, j):
-    """Lexicographic slot of e_i^e_j (1-based indices) and the sign picked up
-    by sorting the pair."""
-    if i == j:
-        raise ValueError(f"degenerate index pair ({i}, {j})")
-    if i < j:
-        return _PAIR_SLOT[(i, j)], 1.0
-    return _PAIR_SLOT[(j, i)], -1.0
-
-
-@dataclass(frozen=True, eq=False)
-class Bivector:
-    """Element of Lambda^2(R^4) in the lexicographic basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = _real_array(self.coeffs, (6,), "bivector")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other):
-        return Bivector(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Bivector(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return Bivector(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Bivector(-self.coeffs)
-
-    def __repr__(self):
-        return f"Bivector({self.coeffs.tolist()})"
-
-
 def wedge(v, w):
     """v ^ w for two 4-vectors; bilinear and antisymmetric."""
     v = _real_array(v, (4,), "wedge factor")
@@ -119,26 +77,27 @@ def wedge(v, w):
     c = np.empty(6)
     for slot, (i, j) in enumerate(LEX_PAIRS):
         c[slot] = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
-    return Bivector(c)
+    return c
 
 
 def hodge_star(b):
-    return Bivector(HODGE_MATRIX @ b.coeffs)
+    return HODGE_MATRIX @ _real_array(b, (6,), "bivector")
 
 
 def unit_sign(sign):
-    """1.0 or -1.0 for a sign given as +-1 or "+"/"-"; anything else is rejected."""
-    if sign in (1, 1.0, "+"):
-        return 1.0
-    if sign in (-1, -1.0, "-"):
-        return -1.0
+    """1.0 or -1.0 for a sign given as the number +1 or -1; anything else,
+    a boolean too, is rejected."""
+    numeric = isinstance(sign, (int, float, np.integer, np.floating))
+    if numeric and not isinstance(sign, bool) and sign in (1, -1):
+        return float(sign)
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
 def sd_project(b, sign):
     """Self-dual (+) or anti-self-dual (-) part, (b +/- *b)/2."""
     s = unit_sign(sign)
-    return Bivector(0.5 * (b.coeffs + s * (HODGE_MATRIX @ b.coeffs)))
+    b = _real_array(b, (6,), "bivector")
+    return 0.5 * (b + s * (HODGE_MATRIX @ b))
 
 
 @dataclass(frozen=True, eq=False)

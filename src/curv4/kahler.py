@@ -23,15 +23,14 @@ from .bivectors import (
     ADAPTED_IDENTITY,
     PAIR_FIRST,
     PAIR_SECOND,
-    Bivector,
     FrameRotation,
     _real_array,
     induced_map,
-    pair_slot,
     sd_project,
 )
 from .operators import (
     CurvatureOperator,
+    _component_index,
     conjugate,
     distinct_index_components,
     from_components,
@@ -75,13 +74,13 @@ class ComplexStructure:
             raise ValueError("complex structure must be orthogonal")
         if np.max(np.abs(j @ j + np.eye(4))) > STRUCTURE_TOL:
             raise ValueError("complex structure must square to -Id")
-        dual = Bivector(_dual_bivector_coeffs(j))
-        if sd_project(dual, -1).norm() > 1e-9:
+        dual = _dual_bivector_coeffs(j)
+        if np.linalg.norm(sd_project(dual, -1)) > 1e-9:
             raise ValueError(
                 "dual bivector is not self-dual; the structure is incompatible "
                 "with the fixed orientation"
             )
-        unit = float(np.sum(sd_project(dual, +1).coeffs[:3] ** 2))
+        unit = float(np.sum(sd_project(dual, +1)[:3] ** 2))
         # a12^2+a13^2+a14^2 = 1 follows from orthogonality; assert it anyway
         if abs(unit - 1.0) > 1e-12:
             raise ValueError("dual bivector coefficients are not unit length")
@@ -89,7 +88,7 @@ class ComplexStructure:
         object.__setattr__(self, "matrix", j)
 
     def dual_bivector(self):
-        return Bivector(_dual_bivector_coeffs(self.matrix))
+        return _dual_bivector_coeffs(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def coeffs_in_frame(structure: ComplexStructure, q: FrameRotation):
     in the rotated frame f = Qe."""
     jrot = q.matrix.T @ structure.matrix @ q.matrix
     c = _dual_bivector_coeffs(jrot)
-    if sd_project(Bivector(c), -1).norm() > 1e-9:
+    if np.linalg.norm(sd_project(c, -1)) > 1e-9:
         raise ValueError("structure is not orientation-compatible in this frame")
     coeffs = KahlerCoeffs(float(c[0]), float(c[1]), float(c[2]))
     if np.max(np.abs(structure_from_coeffs(coeffs) - jrot)) > 1e-10:
@@ -149,22 +148,9 @@ def extend_to_bivectors(structure: ComplexStructure):
     return induced_map(structure.matrix)
 
 
-def _component_gather(components):
-    """Row, column and sign arrays that read each R_ijkl as sign * m[row, col],
-    the entry and sign :meth:`CurvatureOperator.component` reads."""
-    rows, cols, signs = [], [], []
-    for i, j, k, l in components:
-        a, sa = pair_slot(i, j)
-        b, sb = pair_slot(k, l)
-        rows.append(b)
-        cols.append(a)
-        signs.append(sa * sb)
-    return np.array(rows), np.array(cols), np.array(signs)
-
-
 # The 18 components the twelve lines read, in the order _identity_lines
 # unpacks them.
-_LINE_ROWS, _LINE_COLS, _LINE_SIGNS = _component_gather(
+_LINE_ROWS, _LINE_COLS, _LINE_SIGNS = _component_index(
     (
         (1, 2, 1, 2), (3, 4, 3, 4), (1, 3, 1, 3), (2, 4, 2, 4), (1, 4, 1, 4), (2, 3, 2, 3),
         (1, 2, 1, 3), (4, 2, 4, 3), (2, 1, 2, 4), (3, 1, 3, 4),

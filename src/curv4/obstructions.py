@@ -149,7 +149,7 @@ def _wedge_residual(m, q):
     f = q.T
     total = 0.0
     for i, j, k, l in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
-        total += float(wedge(f[k], f[l]).coeffs @ m @ wedge(f[i], f[j]).coeffs) ** 2
+        total += float(wedge(f[k], f[l]) @ m @ wedge(f[i], f[j])) ** 2
     return total
 
 

@@ -29,7 +29,6 @@ from .bivectors import (
     FrameRotation,
     _real_array,
     induced_rotation,
-    pair_slot,
     unit_sign,
 )
 
@@ -38,6 +37,39 @@ SYMMETRY_TOL = 1e-12
 # Below this largest entry the 36 squares summed by the Frobenius norm
 # cannot overflow, so only larger operators are checked.
 _NORM_SAFE_ENTRY = 1e150
+
+# The one index rule, R_ijkl = sign * m[row, col], for 0-based indices: the
+# lexicographic slot of each ordered pair, and the sign sorting it picks up
+# (0 for a repeated index).
+_SLOT = np.zeros((4, 4), dtype=int)
+_SLOT[PAIR_FIRST, PAIR_SECOND] = _SLOT[PAIR_SECOND, PAIR_FIRST] = np.arange(6)
+_SIGN = np.zeros((4, 4))
+_SIGN[PAIR_FIRST, PAIR_SECOND], _SIGN[PAIR_SECOND, PAIR_FIRST] = 1.0, -1.0
+_SIGN4 = np.multiply.outer(_SIGN, _SIGN)
+
+
+def _zero_based(ijkl):
+    """The four 1-based indices (i, j, k, l) as 0-based ones; each must be
+    an integer 1..4, never a float or a boolean that equals one."""
+    if len(ijkl) != 4:
+        raise ValueError(f"indices must be four integers 1..4, got {tuple(ijkl)!r}")
+    for n in ijkl:
+        # type() and not isinstance(): a bool is an int subclass
+        if not (type(n) is int or isinstance(n, np.integer)) or not 0 < n < 5:
+            raise ValueError(f"indices must be four integers 1..4, got {tuple(ijkl)!r}")
+    return [n - 1 for n in ijkl]
+
+
+def _component_index(quadruples):
+    """Row, column and sign arrays that read R_ijkl of each 1-based
+    quadruple as sign * m[row, col]; both pairs must be non-degenerate."""
+    i, j, k, l = np.array([_zero_based(q) for q in quadruples], dtype=int).reshape(-1, 4).T
+    bad = np.flatnonzero((i == j) | (k == l))
+    if bad.size:
+        raise ValueError(
+            f"index pairs must be non-degenerate, got {tuple(quadruples[bad[0]])!r}"
+        )
+    return _SLOT[k, l], _SLOT[i, j], _SIGN[i, j] * _SIGN[k, l]
 
 
 class CurvatureOperator:
@@ -61,31 +93,16 @@ class CurvatureOperator:
 
     def component(self, i, j, k, l):
         """R_ijkl with the full index symmetries; zero for a repeated pair."""
+        i, j, k, l = _zero_based((i, j, k, l))
         if i == j or k == l:
             return 0.0
-        a, sa = pair_slot(i, j)
-        b, sb = pair_slot(k, l)
-        return float(sa * sb * self.matrix[b, a])
+        # scalar reads: a gather through _component_index costs about eight times more
+        return _SIGN.item(i, j) * _SIGN.item(k, l) * self.matrix.item(
+            _SLOT.item(k, l), _SLOT.item(i, j)
+        )
 
     def norm(self):
         return float(np.linalg.norm(self.matrix))
-
-    def inner(self, other):
-        return float(np.sum(self.matrix * other.matrix))
-
-    def __add__(self, other):
-        return CurvatureOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return CurvatureOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return CurvatureOperator(self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CurvatureOperator(-self.matrix)
 
     def __repr__(self):
         return f"CurvatureOperator({self.matrix.tolist()})"
@@ -98,45 +115,34 @@ def from_components(components):
     index symmetries (antisymmetry in each pair, pair exchange) must agree;
     unspecified components are zero.
     """
+    entries = list(components)
+    rows, cols, signs = _component_index([entry[:4] for entry in entries])
     m = np.zeros((6, 6))
     seen = np.zeros((6, 6), dtype=bool)
-    for entry in components:
-        i, j, k, l, value = entry
-        for idx in (i, j, k, l):
-            if idx not in (1, 2, 3, 4):
-                raise ValueError(f"indices must lie in 1..4, got {entry!r}")
-        if i == j or k == l:
-            raise ValueError(f"index pairs must be non-degenerate, got {entry!r}")
-        a, sa = pair_slot(i, j)
-        b, sb = pair_slot(k, l)
-        v = sa * sb * float(value)
+    for (i, j, k, l, value), b, a, s in zip(entries, rows.tolist(), cols.tolist(), signs.tolist()):
+        v = s * float(value)
         for row, col in {(b, a), (a, b)}:
             if seen[row, col] and abs(m[row, col] - v) > 1e-12 * max(
                 1.0, abs(v), abs(m[row, col])
             ):
                 raise ValueError(
                     f"component R_{i}{j}{k}{l}={value} conflicts with a "
-                    f"symmetry-related entry already set to {sa * sb * m[row, col]}"
+                    f"symmetry-related entry already set to {s * m[row, col]}"
                 )
             m[row, col] = v
             seen[row, col] = True
     return CurvatureOperator(m)
 
 
-# R_ijkl for all 0-based indices at once: the lexicographic slot of each
-# ordered pair, and the sign sorting it picks up (0 for a repeated index).
-_SLOT = np.zeros((4, 4), dtype=int)
-_SLOT[PAIR_FIRST, PAIR_SECOND] = _SLOT[PAIR_SECOND, PAIR_FIRST] = np.arange(6)
-_SIGN = np.zeros((4, 4))
-_SIGN[PAIR_FIRST, PAIR_SECOND], _SIGN[PAIR_SECOND, PAIR_FIRST] = 1.0, -1.0
-_SIGN4 = np.multiply.outer(_SIGN, _SIGN)
+_DISTINCT_ROWS, _DISTINCT_COLS, _DISTINCT_SIGNS = _component_index(
+    ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))
+)
 
 
 def distinct_index_components(r_op):
     """The three components (R_1234, R_1324, R_1423) whose four indices are
-    all distinct, the lexicographic entries (6,1), (5,2) and (4,3); a frame
-    from orthogonal coordinates zeroes all three."""
-    return tuple(r_op.matrix[(5, 4, 3), (0, 1, 2)].tolist())
+    all distinct; a frame from orthogonal coordinates zeroes all three."""
+    return tuple((_DISTINCT_SIGNS * r_op.matrix[_DISTINCT_ROWS, _DISTINCT_COLS]).tolist())
 
 
 def ricci(r_op):
@@ -308,12 +314,8 @@ def operator_from_dict(doc):
         entries = []
         for item in doc["components"]:
             ijkl = item.get("ijkl") if isinstance(item, dict) else None
-            # a JSON boolean is not a number, although Python compares True == 1
-            if not (
-                isinstance(ijkl, (list, tuple))
-                and len(ijkl) == 4
-                and not any(isinstance(i, bool) for i in ijkl)
-            ):
+            # from_components holds each index to the one index rule
+            if not (isinstance(ijkl, (list, tuple)) and len(ijkl) == 4):
                 raise ValueError(f"component entry needs a 4-index 'ijkl', got {item!r}")
             value = _real_array(item.get("value"), (), f"'value' of component entry {item!r}")
             entries.append((*ijkl, float(value)))

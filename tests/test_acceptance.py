@@ -96,7 +96,7 @@ def test_criterion_01_decomposition_suite():
         assert np.linalg.norm(total - op.matrix) <= 1e-10
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:
-                assert abs(p.inner(q)) <= 1e-10 * max(1.0, p.norm() * q.norm())
+                assert abs(np.sum(p.matrix * q.matrix)) <= 1e-10 * max(1.0, p.norm() * q.norm())
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"decomposition suite took {elapsed:.2f}s"
     _report(1, "decomposition suite")

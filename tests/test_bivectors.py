@@ -7,7 +7,6 @@ from conftest import random_rotation
 from curv4 import (
     ADAPTED_IDENTITY,
     HODGE_MATRIX,
-    Bivector,
     CurvatureOperator,
     FrameRotation,
     adapted_form,
@@ -26,13 +25,13 @@ vec4 = st.tuples(finite, finite, finite, finite)
 
 
 def test_wedge_basis_case():
-    np.testing.assert_array_equal(wedge(E[0], E[1]).coeffs, [1, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(wedge(E[0], E[1]), [1, 0, 0, 0, 0, 0])
 
 
 def test_wedge_bilinearity_example():
     # (e1 + e2) ^ e3 = e1^e3 + e2^e3
     np.testing.assert_allclose(
-        wedge(E[0] + E[1], E[2]).coeffs, [0, 1, 0, 1, 0, 0], atol=0
+        wedge(E[0] + E[1], E[2]), [0, 1, 0, 1, 0, 0], atol=0
     )
 
 
@@ -41,17 +40,17 @@ def test_wedge_bilinearity_example():
 def test_wedge_antisymmetric_bilinear(v, w, s):
     v = np.array(v)
     w = np.array(w)
-    np.testing.assert_allclose(wedge(v, v).coeffs, 0.0, atol=1e-9)
-    np.testing.assert_allclose(wedge(v, w).coeffs, -wedge(w, v).coeffs, atol=1e-9)
+    np.testing.assert_allclose(wedge(v, v), 0.0, atol=1e-9)
+    np.testing.assert_allclose(wedge(v, w), -wedge(w, v), atol=1e-9)
     np.testing.assert_allclose(
-        wedge(s * v, w).coeffs, s * wedge(v, w).coeffs, rtol=1e-12, atol=1e-9
+        wedge(s * v, w), s * wedge(v, w), rtol=1e-12, atol=1e-9
     )
 
 
 def test_hodge_star_basis_values():
-    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[1])).coeffs, [0, 0, 0, 0, 0, 1])
-    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[2])).coeffs, [0, 0, 0, 0, -1, 0])
-    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[3])).coeffs, [0, 0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[1])), [0, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[2])), [0, 0, 0, 0, -1, 0])
+    np.testing.assert_array_equal(hodge_star(wedge(E[0], E[3])), [0, 0, 0, 1, 0, 0])
 
 
 def test_hodge_matrix_is_exact_involution():
@@ -62,19 +61,19 @@ def test_hodge_matrix_is_exact_involution():
 
 def test_hodge_star_involution_random(rng):
     for _ in range(20):
-        b = Bivector(rng.standard_normal(6))
-        np.testing.assert_allclose(hodge_star(hodge_star(b)).coeffs, b.coeffs, atol=0)
+        b = rng.standard_normal(6)
+        np.testing.assert_allclose(hodge_star(hodge_star(b)), b, atol=0)
 
 
 def test_sd_project_basis_case():
     plus = sd_project(wedge(E[0], E[1]), +1)
-    np.testing.assert_allclose(plus.coeffs, [0.5, 0, 0, 0, 0, 0.5], atol=0)
+    np.testing.assert_allclose(plus, [0.5, 0, 0, 0, 0, 0.5], atol=0)
 
 
 def test_sd_project_fixes_eigenvectors():
-    b = Bivector([1, 0, 0, 0, 0, 1])
-    np.testing.assert_allclose(sd_project(b, +1).coeffs, b.coeffs, atol=0)
-    np.testing.assert_allclose(sd_project(b, -1).coeffs, 0.0, atol=0)
+    b = np.array([1, 0, 0, 0, 0, 1])
+    np.testing.assert_allclose(sd_project(b, +1), b, atol=0)
+    np.testing.assert_allclose(sd_project(b, -1), 0.0, atol=0)
 
 
 def test_sd_projectors_complementary(rng):
@@ -85,20 +84,22 @@ def test_sd_projectors_complementary(rng):
     assert np.trace(p_plus) == pytest.approx(3.0)
     assert np.trace(p_minus) == pytest.approx(3.0)
     for _ in range(10):
-        b = Bivector(rng.standard_normal(6))
+        b = rng.standard_normal(6)
         total = sd_project(b, +1) + sd_project(b, -1)
-        np.testing.assert_allclose(total.coeffs, b.coeffs, atol=1e-15)
+        np.testing.assert_allclose(total, b, atol=1e-15)
         # outputs are eigenvectors of the star
         for sign in (+1, -1):
             part = sd_project(b, sign)
             np.testing.assert_allclose(
-                hodge_star(part).coeffs, sign * part.coeffs, atol=1e-15
+                hodge_star(part), sign * part, atol=1e-15
             )
 
 
 def test_sd_project_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        sd_project(Bivector(np.zeros(6)), 2)
+    # True == 1 and "+" once read as +1; a sign is the number +1 or -1
+    for sign in (2, "+", True):
+        with pytest.raises(ValueError):
+            sd_project(np.zeros(6), sign)
 
 
 def test_frame_rotation_validation():
@@ -180,7 +181,7 @@ def test_induced_map_matches_direct_wedge(rng):
         from curv4 import LEX_PAIRS
 
         for slot, (i, j) in enumerate(LEX_PAIRS):
-            direct = wedge(q[:, i - 1], q[:, j - 1]).coeffs
+            direct = wedge(q[:, i - 1], q[:, j - 1])
             np.testing.assert_allclose(l[:, slot], direct, atol=1e-14)
 
 
@@ -201,6 +202,6 @@ def test_orientation_flip_swaps_duality():
 
 def test_bivector_shape_validation():
     with pytest.raises(ValueError):
-        Bivector([1.0, 2.0])
+        hodge_star([1.0, 2.0])
     with pytest.raises(ValueError):
         wedge([1, 2, 3], [1, 2, 3, 4])

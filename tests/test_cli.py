@@ -399,12 +399,14 @@ def test_theorem_takes_no_search_flags(args, capsys):
         {"builder": "const-hol-sec", "params": [True]},
         {"builder": "surface-product", "params": [1.0, False]},
         {"components": [{"ijkl": [True, 2, 1, 2], "value": 1.0}]},
+        {"components": [{"ijkl": [1.0, 2, 1, 2], "value": 1}]},
         {"components": [{"ijkl": [1, 2, 1, 2], "value": True}]},
         {"builder": "const-hol-sec", "params": ["2"]},
         {"builder": "surface-product", "params": [1.0, "1"]},
         {"components": [{"ijkl": [1, 2, 1, 2], "value": "1"}]},
     ],
-    ids=["const-hol-sec-params", "surface-product-params", "component-ijkl", "component-value",
+    ids=["const-hol-sec-params", "surface-product-params", "component-ijkl",
+         "component-ijkl-float", "component-value",
          "const-hol-sec-params-string", "surface-product-params-string", "component-value-string"],
 )
 def test_json_boolean_is_not_a_number(doc, tmp_path, capsys):

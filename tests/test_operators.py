@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,8 @@ def ricci_defining_sum(op):
         for b in range(4):
             total = 0.0
             for i in range(4):
-                va = wedge(E[a], E[i]).coeffs
-                vb = wedge(E[b], E[i]).coeffs
+                va = wedge(E[a], E[i])
+                vb = wedge(E[b], E[i])
                 total += vb @ (op.matrix @ va)
             rho[a, b] = total
     return rho
@@ -82,16 +84,29 @@ def test_from_components_index_validation():
         from_components([(0, 2, 1, 2, 1.0)])
     with pytest.raises(ValueError):
         from_components([(1, 1, 1, 2, 1.0)])
+    # 1.0 == 1, but a float index is refused like a boolean one
+    with pytest.raises(ValueError, match="integers 1..4"):
+        from_components([(1.0, 2, 1, 2, 1.0)])
 
 
 def test_component_index_symmetries(rng):
+    # every quadruple against the wedge pairing <R(e_i ^ e_j), e_k ^ e_l>,
+    # which shares no table with component() and is exact on basis vectors
     op = random_symmetric6(rng)
-    for (i, j, k, l) in ((1, 2, 3, 4), (1, 3, 1, 4), (2, 4, 2, 3)):
+    for i, j, k, l in itertools.product(range(1, 5), repeat=4):
         v = op.component(i, j, k, l)
+        if i == j or k == l:
+            assert v == 0.0
+            continue
+        assert v == wedge(E[k - 1], E[l - 1]) @ op.matrix @ wedge(E[i - 1], E[j - 1])
         assert op.component(j, i, k, l) == -v
         assert op.component(i, j, l, k) == -v
         assert op.component(k, l, i, j) == v
-    assert op.component(1, 1, 2, 3) == 0.0
+    for bad in (0, 5, 1.0, True):
+        with pytest.raises(ValueError, match="integers 1..4"):
+            op.component(bad, 2, 3, 4)
+        with pytest.raises(ValueError, match="integers 1..4"):
+            op.component(1, 2, 3, bad)
 
 
 def test_operator_requires_symmetry():
@@ -272,7 +287,7 @@ def test_decompose_reconstruction_and_orthogonality(rng):
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:
                 bound = 1e-10 * max(1.0, p.norm() * q.norm())
-                assert abs(p.inner(q)) <= bound
+                assert abs(np.sum(p.matrix * q.matrix)) <= bound
         # the non-curvature part is a multiple of the star
         beta = dec.bianchi_part.matrix[0, 5]
         np.testing.assert_allclose(
