@@ -40,7 +40,6 @@ from .kahler import (
     STANDARD_J,
     ComplexStructure,
     KahlerBlockForm,
-    KahlerCoeffs,
     NonKahlerError,
     build_const_hol_sec,
     build_surface_product,

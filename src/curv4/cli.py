@@ -29,6 +29,7 @@ from .kahler import (
     build_surface_product,
     from_unitary_frame,
     structure_from_dict,
+    unit_triple,
 )
 from .metrics import (
     MetricDomainError,
@@ -185,9 +186,10 @@ def _parse_point(text):
 
 def _parse_coeffs(text):
     values = _parse_numbers("--coeffs", text, 3, "three comma-separated numbers")
-    if abs(sum(v * v for v in values) - 1.0) > 1e-9:
-        raise InputError("--coeffs must be a unit triple")
-    return values
+    try:
+        return unit_triple(values)
+    except ValueError as err:
+        raise InputError("--coeffs must be a unit triple") from err
 
 
 def _base_payload(args):
@@ -307,7 +309,7 @@ def _cmd_theorem(args):
         control = ricciflat_nullspace(coeffs, include_distinct_index=False)
         payload.update(
             {
-                "coefficients": list(coeffs),
+                "coefficients": coeffs.tolist(),
                 "nullspace_dimension": cert.dimension,
                 "control_dimension_without_distinct_index": control.dimension,
                 "constraints": cert.constraint_count,

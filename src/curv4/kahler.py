@@ -91,21 +91,15 @@ class ComplexStructure:
         return _dual_bivector_coeffs(self.matrix)
 
 
-@dataclass(frozen=True)
-class KahlerCoeffs:
-    """Components (a12, a13, a14) of the dual bivector in a given frame."""
-
-    a12: float
-    a13: float
-    a14: float
-
-    def __post_init__(self):
-        # written so that a NaN entry fails the comparison too
-        if not abs(self.a12**2 + self.a13**2 + self.a14**2 - 1.0) <= 1e-9:
-            raise ValueError("coefficients must be finite with unit sum of squares")
-
-    def as_array(self):
-        return np.array([self.a12, self.a13, self.a14])
+def unit_triple(values):
+    """``values`` as a read-only float array (a12, a13, a14) of finite
+    entries whose squares sum to 1 within 1e-9: the one rule for a unit
+    coefficient triple."""
+    triple = _real_array(values, (3,), "coefficient triple")
+    if abs(sum(v * v for v in triple.tolist()) - 1.0) > 1e-9:
+        raise ValueError("coefficient triple: expected a unit triple, squares summing to 1")
+    triple.flags.writeable = False
+    return triple
 
 
 def from_unitary_frame():
@@ -113,9 +107,10 @@ def from_unitary_frame():
     return ComplexStructure(STANDARD_J)
 
 
-def structure_from_coeffs(coeffs: KahlerCoeffs):
-    """The unique orientation-compatible J with the given frame coefficients."""
-    a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
+def structure_from_coeffs(coeffs):
+    """The unique orientation-compatible J with the given unit frame
+    coefficients (a12, a13, a14)."""
+    a12, a13, a14 = unit_triple(coeffs).tolist()
     return np.array(
         [
             [0.0, -a12, -a13, -a14],
@@ -133,7 +128,7 @@ def coeffs_in_frame(structure: ComplexStructure, q: FrameRotation):
     c = _dual_bivector_coeffs(jrot)
     if np.linalg.norm(sd_project(c, -1)) > 1e-9:
         raise ValueError("structure is not orientation-compatible in this frame")
-    coeffs = KahlerCoeffs(float(c[0]), float(c[1]), float(c[2]))
+    coeffs = unit_triple(c[:3])
     if np.max(np.abs(structure_from_coeffs(coeffs) - jrot)) > 1e-10:
         raise AssertionError("coefficients do not reconstruct the rotated structure")
     return coeffs
@@ -160,7 +155,7 @@ _LINE_ROWS, _LINE_COLS, _LINE_SIGNS = _component_index(
 )
 
 
-def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
+def _identity_lines(r_op: CurvatureOperator, coeffs):
     """The twelve linear conditions on curvature components, evaluated as
     left-minus-right residuals in the frame the components refer to, and
     the holomorphic sums (d12, d13, d14) they are built from."""
@@ -171,7 +166,7 @@ def _identity_lines(r_op: CurvatureOperator, coeffs: KahlerCoeffs):
         c1314, c2324, c4142, c3132,
     ) = (_LINE_SIGNS * r_op.matrix[_LINE_ROWS, _LINE_COLS]).tolist()
     rho = ricci(r_op)
-    a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
+    a12, a13, a14 = coeffs.tolist()
 
     r1234, r1324, r1423 = distinct_index_components(r_op)
     d12 = c1212 + c3434 + 2.0 * r1234
@@ -270,7 +265,7 @@ def scalar_from_kaehler(r_op, structure, q: FrameRotation, tol=1e-9):
     view = KahlerFrameView(r_op, structure, q)
     view.require_kaehler(tol)
     candidates = []
-    for a1j, num in zip(view.coeffs.as_array(), view.holomorphic_sums):
+    for a1j, num in zip(view.coeffs, view.holomorphic_sums):
         if abs(a1j) <= 1e-7:
             if abs(num) > tol * view.scale:
                 raise AssertionError(
@@ -287,7 +282,7 @@ class KahlerBlockForm:
     """Adapted-basis blocks of a Kaehler operator with rank-1 certificates."""
 
     r: float
-    coeffs: KahlerCoeffs
+    coeffs: np.ndarray           # (a12, a13, a14) in the frame, read-only
     plus_block: np.ndarray       # W+ + (r/12) Id
     cross_block: np.ndarray      # traceless-Ricci block, maps the anti-self-dual side in
     minus_block: np.ndarray      # W- + (r/12) Id
@@ -315,8 +310,7 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
     view.require_kaehler(tol)
     scale = view.scale
     r = scalar_curvature(r_op)
-    coeffs = view.coeffs
-    a = coeffs.as_array()
+    a = view.coeffs
 
     # the adapted basis of q is the identity frame's one for the rotated operator
     ad = ADAPTED_IDENTITY.T @ view.rotated.matrix @ ADAPTED_IDENTITY
@@ -357,7 +351,7 @@ def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
         )
     return KahlerBlockForm(
         r=r,
-        coeffs=coeffs,
+        coeffs=a,
         plus_block=plus,
         cross_block=cross,
         minus_block=minus,

@@ -38,7 +38,6 @@ from curv4 import (
     CurvatureOperator,
     DiagonalMetric,
     FrameRotation,
-    KahlerCoeffs,
     adapted_form,
     bianchi_defect,
     build_const_hol_sec,
@@ -168,7 +167,7 @@ def test_criterion_05_cp2_certificate():
     frame = cp2_example_frame()
     assert distinct_index_residual(op, frame) <= 1e-18
     coeffs = coeffs_in_frame(from_unitary_frame(), frame)
-    assert np.max(np.abs(coeffs.as_array() - S3)) <= 1e-12
+    assert np.max(np.abs(coeffs - S3)) <= 1e-12
     _report(5, "cp2 certificate")
 
 
@@ -178,7 +177,7 @@ def test_criterion_06_frame_search_recovery():
     elapsed = time.perf_counter() - start
     assert result.residual <= 1e-12
     coeffs = coeffs_in_frame(from_unitary_frame(), result.frame)
-    squares = sorted(v * v for v in coeffs.as_array())
+    squares = sorted(v * v for v in coeffs)
     assert np.max(np.abs(np.array(squares) - 1.0 / 3.0)) <= 1e-6
     assert elapsed < 10.0, f"frame search took {elapsed:.2f}s"
     _report(6, "frame-search recovery")
@@ -259,7 +258,7 @@ def _exact_ricciflat_rows(triple, include_distinct_index=True):
     """
     identity = FrameRotation.identity()
     axes = [
-        ComplexStructure(structure_from_coeffs(KahlerCoeffs(*e)))
+        ComplexStructure(structure_from_coeffs(e))
         for e in _AXIS_TRIPLES
     ]
     columns = []
@@ -360,7 +359,7 @@ def test_criterion_09_ricci_flat_theorem():
     # At (1,0,0) the fourth direction is sd_weyl: it fails RJ = R, and the
     # part of the nullspace satisfying RJ = JR = R is the family alone.
     jext = extend_to_bivectors(
-        ComplexStructure(structure_from_coeffs(KahlerCoeffs(1.0, 0.0, 0.0)))
+        ComplexStructure(structure_from_coeffs((1.0, 0.0, 0.0)))
     )
     assert np.linalg.norm(sd_weyl.matrix @ jext - sd_weyl.matrix) > 1.0
     assert _independent(asd_family + [sd_weyl_slots])

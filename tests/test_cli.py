@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,12 @@ from conftest import (
     SYMMETRIC_BASIS,
     kaehler_family_members,
 )
-from curv4 import extend_to_bivectors, from_unitary_frame
+from curv4 import (
+    build_const_hol_sec,
+    extend_to_bivectors,
+    from_unitary_frame,
+    ricciflat_nullspace,
+)
 from curv4.cli import emit_report, main
 from curv4.obstructions import _constraint_blocks
 
@@ -139,6 +145,16 @@ def test_bad_point_exits_2(capsys):
 def test_non_unit_coeffs_exit_2(capsys):
     assert main(["theorem", "ricci-flat", "--coeffs", "1,1,1"]) == 2
     capsys.readouterr()
+    # the flag and the library share one unit rule: 1e-9 on the sum of squares
+    inside = (math.sqrt(1.0 + 5e-10), 0.0, 0.0)
+    outside = (math.sqrt(1.0 + 2e-9), 0.0, 0.0)
+    assert main(["theorem", "ricci-flat", "--coeffs", ",".join(map(repr, inside))]) == 1
+    assert capsys.readouterr().err == ""
+    assert ricciflat_nullspace(inside).dimension == 4
+    assert main(["theorem", "ricci-flat", "--coeffs", ",".join(map(repr, outside))]) == 2
+    assert capsys.readouterr() == ("", "error: --coeffs must be a unit triple\n")
+    with pytest.raises(ValueError, match="unit"):
+        ricciflat_nullspace(outside)
 
 
 def test_unknown_builder_exits_2(tmp_path, capsys):
@@ -487,6 +503,39 @@ def test_kahler_check_fails_an_operator_only_the_lines_accept(tmp_path, capsys):
     # the theorem pipeline reads the same predicate
     assert main(["theorem", "self-dual", "--input", str(path)]) == 1
     assert "notes: [\"operator is not Kaehler" in capsys.readouterr().out
+
+
+def _star_perturbed_const_hol_sec():
+    """build_const_hol_sec(1) plus 1e-6 w w^T, w the unit dual bivector of
+    the standard structure: still Kaehler, but with Bianchi defect 5e-7, so
+    every frame keeps a root residual near 2.9e-7, above the default
+    tolerance."""
+    w = from_unitary_frame().dual_bivector() / np.sqrt(2.0)
+    return build_const_hol_sec(1.0).matrix + 1e-6 * np.outer(w, w)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, field, value, line",
+    [
+        (["theorem", "self-dual"], "verdict", "inconclusive", "verdict: inconclusive"),
+        (["frame-search"], "conclusive", False, "conclusive: false"),
+    ],
+)
+def test_star_perturbed_kaehler_operator_is_inconclusive(
+    command, field, value, line, fmt, tmp_path, capsys
+):
+    # the frame step and the sign check judge the frame by one rule, so the
+    # pipeline stops at the frame instead of failing one step later
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"matrix": _star_perturbed_const_hol_sec().tolist()}))
+    assert main([*command, "--input", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        assert json.loads(captured.out)[field] == value
+    else:
+        assert line in captured.out.splitlines()
 
 
 @pytest.mark.parametrize("kind", sorted(KAEHLER_FAMILY_DIMENSIONS))

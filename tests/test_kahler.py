@@ -9,7 +9,6 @@ from curv4 import (
     ComplexStructure,
     CurvatureOperator,
     FrameRotation,
-    KahlerCoeffs,
     NonKahlerError,
     build_const_hol_sec,
     build_surface_product,
@@ -26,7 +25,7 @@ from curv4 import (
     scalar_from_kaehler,
     structure_from_coeffs,
 )
-from curv4.kahler import _identity_lines
+from curv4.kahler import _identity_lines, unit_triple
 from curv4.obstructions import cp2_example_frame
 from curv4.operators import distinct_index_components
 
@@ -39,7 +38,8 @@ def test_standard_structure_basics():
     np.testing.assert_array_equal(j.matrix @ E[2], E[3])
     np.testing.assert_allclose(j.matrix @ j.matrix, -np.eye(4), atol=0)
     coeffs = coeffs_in_frame(j, FrameRotation.identity())
-    assert (coeffs.a12, coeffs.a13, coeffs.a14) == (1.0, 0.0, 0.0)
+    assert coeffs.tolist() == [1.0, 0.0, 0.0]
+    assert coeffs.dtype == float and not coeffs.flags.writeable
 
 
 def test_structure_validation():
@@ -55,7 +55,7 @@ def test_structure_validation():
 
 def test_kahler_coeffs_unit_validation():
     with pytest.raises(ValueError, match="unit"):
-        KahlerCoeffs(1.0, 1.0, 0.0)
+        unit_triple((1.0, 1.0, 0.0))
 
 
 def test_structure_rejects_non_finite_entries():
@@ -74,13 +74,13 @@ def test_structure_rejects_non_finite_entries():
 
 def test_kahler_coeffs_reject_nan():
     with pytest.raises(ValueError, match="finite"):
-        KahlerCoeffs(float("nan"), 0.0, 0.0)
+        unit_triple((float("nan"), 0.0, 0.0))
 
 
 def test_coeffs_in_cp2_frame():
     coeffs = coeffs_in_frame(from_unitary_frame(), cp2_example_frame())
     s3 = 1.0 / np.sqrt(3.0)
-    np.testing.assert_allclose(coeffs.as_array(), [s3, s3, s3], atol=1e-15)
+    np.testing.assert_allclose(coeffs, [s3, s3, s3], atol=1e-15)
 
 
 def test_coeffs_random_frames_unit_and_reconstruct(rng):
@@ -88,7 +88,7 @@ def test_coeffs_random_frames_unit_and_reconstruct(rng):
     for _ in range(25):
         q = random_rotation(rng)
         coeffs = coeffs_in_frame(j, q)
-        assert coeffs.as_array() @ coeffs.as_array() == pytest.approx(1.0, abs=1e-12)
+        assert coeffs @ coeffs == pytest.approx(1.0, abs=1e-12)
         rebuilt = structure_from_coeffs(coeffs)
         np.testing.assert_allclose(
             rebuilt, q.matrix.T @ j.matrix @ q.matrix, atol=1e-10
@@ -196,7 +196,7 @@ def test_block_form_const_hol_sec_random_frames(rng):
     for _ in range(10):
         q = random_rotation(rng)
         form = kaehler_block_form(op, j, q)
-        a = form.coeffs.as_array()
+        a = form.coeffs
         expected_wplus = (form.r / 4.0) * (np.outer(a, a) - np.eye(3) / 3.0)
         np.testing.assert_allclose(
             form.plus_block - (form.r / 12.0) * np.eye(3), expected_wplus, atol=1e-9
@@ -217,7 +217,7 @@ def test_block_form_cross_factorization(rng):
     for _ in range(10):
         q = random_rotation(rng)
         form = kaehler_block_form(op, j, q)
-        a = form.coeffs.as_array()
+        a = form.coeffs
         if np.min(np.abs(a)) < 1e-3:
             continue
         rc = conjugate(op, q)
@@ -326,7 +326,7 @@ def _identity_lines_by_component(r_op, coeffs):
     CurvatureOperator.component call, with the same arithmetic."""
     c = r_op.component
     rho = ricci(r_op)
-    a12, a13, a14 = coeffs.a12, coeffs.a13, coeffs.a14
+    a12, a13, a14 = coeffs.tolist()
     r1234, r1324, r1423 = distinct_index_components(r_op)
     d12 = c(1, 2, 1, 2) + c(3, 4, 3, 4) + 2.0 * r1234
     d13 = c(1, 3, 1, 3) + c(2, 4, 2, 4) - 2.0 * r1324
@@ -362,7 +362,7 @@ def test_identity_lines_gather_matches_component_reads():
         m = rng.standard_normal((6, 6))
         op = CurvatureOperator(m + m.T)
         a = rng.standard_normal(3)
-        coeffs = KahlerCoeffs(*(a / np.linalg.norm(a)))
+        coeffs = unit_triple(a / np.linalg.norm(a))
         lines, sums = _identity_lines(op, coeffs)
         expected_lines, expected_sums = _identity_lines_by_component(op, coeffs)
         np.testing.assert_array_equal(lines, expected_lines)
