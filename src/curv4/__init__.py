@@ -57,7 +57,6 @@ from .metrics import (
     JField,
     MetricDomainError,
     ParseError,
-    ScalarField,
     UnitaryProductReport,
     christoffel_oracle,
     connection_coeffs,

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bivectors import FrameRotation, _real_array
+from .bivectors import DEFAULT_TOLERANCE, FrameRotation, _real_array
 from .kahler import (
     KahlerFrameView,
     build_const_hol_sec,
@@ -71,7 +71,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("decompose", help="split an operator into its five invariant parts")
@@ -91,7 +91,7 @@ def _build_parser():
     p = sub.add_parser("frame-search", help="closed-form frame with the smallest distinct-index residual")
     p.add_argument("--input", required=True)
     # no effect on the result; kept only because bench/workloads.py and
-    # bench/clidocs.py pass them (ROADMAP item 7 removes them with that bench)
+    # bench/clidocs.py pass them (the next benchmark change removes them)
     p.add_argument("--seed", type=int, default=0, help="accepted; no effect")
     p.add_argument("--restarts", type=int, default=32, help="accepted; no effect")
     common(p)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .bivectors import (
     ADAPTED_IDENTITY,
+    DEFAULT_TOLERANCE,
     PAIR_FIRST,
     PAIR_SECOND,
     FrameRotation,
@@ -255,7 +256,7 @@ def kaehler_residuals(r_op, structure, q: FrameRotation):
     return KahlerFrameView(r_op, structure, q).lines
 
 
-def scalar_from_kaehler(r_op, structure, q: FrameRotation, tol=1e-9):
+def scalar_from_kaehler(r_op, structure, q: FrameRotation, tol=DEFAULT_TOLERANCE):
     """Scalar-curvature candidates 2 (R_1j1j + R_klkl +/- 2 R_dist)/a_1j^2.
 
     One candidate per direction with a nonvanishing coefficient; for a
@@ -298,7 +299,7 @@ def _rank_one(sv, scale):
     return sv[1] <= max(1e-8 * sv[0], 1e-10 * scale)
 
 
-def kaehler_block_form(r_op, structure, q: FrameRotation, tol=1e-9):
+def kaehler_block_form(r_op, structure, q: FrameRotation, tol=DEFAULT_TOLERANCE):
     """Certify the rank-one block structure of a Kaehler operator in the
     adapted basis of q and check the closed-form W+ / W- expressions.
 

@@ -19,14 +19,14 @@ or compiled, so the operator commands, which build no metric, never load it.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .bivectors import LEX_PAIRS
+from .bivectors import DEFAULT_TOLERANCE, LEX_PAIRS, _real_array
+from .kahler import unit_triple
 from .operators import CurvatureOperator
 
 _COORD_NAMES = ("x1", "x2", "x3", "x4")
@@ -175,10 +175,12 @@ class _Parser:
 
 
 def parse_expression(text):
-    """Parse the documented grammar into a sympy expression."""
+    """The sympy expression of a string in the documented grammar, validated."""
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
-    return _Parser(text).parse()
+    expr = _Parser(text).parse()
+    _validate_expr(expr)
+    return expr
 
 
 def _validate_expr(expr):
@@ -194,26 +196,10 @@ def _validate_expr(expr):
             raise ValueError(f"unsupported node {type(node).__name__}")
 
 
-class ScalarField:
-    """Scalar function of x1..x4 on the restricted symbolic node set, parsed
-    from a string in the documented grammar."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, source):
-        expr = parse_expression(source)
-        _validate_expr(expr)
-        self.expr = expr
-
-    def __repr__(self):
-        return f"ScalarField({self.expr})"
-
-
 def _check_point(point):
-    p = tuple(map(float, point))
-    if len(p) != 4 or not all(map(math.isfinite, p)):
-        raise ValueError(f"a point has four finite coordinates, got {point!r}")
-    return p
+    # Python floats, not numpy scalars: the compiled code must raise on a
+    # division by zero and turn complex on a negative base, not give inf or NaN
+    return tuple(_real_array(point, (4,), "point").tolist())
 
 
 def _positive(scales, point):
@@ -226,22 +212,22 @@ def _positive(scales, point):
 
 
 def _unit(coeffs, point):
-    """The structure coefficients at a checked point, once their norm is 1."""
-    if abs(float(coeffs @ coeffs) - 1.0) > 1e-10:
+    """The structure coefficients at a checked point, once unit_triple accepts them."""
+    try:
+        return unit_triple(coeffs)
+    except ValueError as err:
         raise MetricDomainError(
             f"structure coefficients must have unit norm at {point}; got {coeffs.tolist()}"
-        )
-    return coeffs
+        ) from err
 
 
 class DiagonalMetric:
     """Four positive scale functions a1..a4 of x1..x4."""
 
-    __slots__ = ("scales", "key")
+    __slots__ = ("key",)
 
     def __init__(self, a1, a2, a3, a4):
-        self.scales = tuple(ScalarField(a) for a in (a1, a2, a3, a4))
-        self.key = tuple(f.expr for f in self.scales)
+        self.key = tuple(map(parse_expression, (a1, a2, a3, a4)))
 
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
@@ -250,7 +236,7 @@ class DiagonalMetric:
         return _positive(vals.reshape(4), point)
 
     def __repr__(self):
-        return f"DiagonalMetric{tuple(str(f.expr) for f in self.scales)}"
+        return f"DiagonalMetric{tuple(map(str, self.key))}"
 
 
 def metric_from_dict(doc):
@@ -277,11 +263,10 @@ def metric_from_dict(doc):
 class JField:
     """Pointwise structure coefficients (a12, a13, a14) with unit norm."""
 
-    __slots__ = ("fields", "key")
+    __slots__ = ("key",)
 
     def __init__(self, a12, a13, a14):
-        self.fields = tuple(ScalarField(c) for c in (a12, a13, a14))
-        self.key = tuple(f.expr for f in self.fields)
+        self.key = tuple(map(parse_expression, (a12, a13, a14)))
 
     def values(self, point):
         point = _check_point(point)
@@ -356,7 +341,7 @@ def _evaluate(point, what, build, *keys):
             raise MetricDomainError(f"the {what} are not real at {point}")
         vals = vals.real
     vals = vals.astype(float, copy=False)
-    if not np.isfinite(vals).all():
+    if np.count_nonzero(np.isfinite(vals)) != vals.size:  # cheaper than .all(), as in _real_array
         raise MetricDomainError(f"the {what} are not finite at {point}")
     return vals
 
@@ -624,7 +609,7 @@ class UnitaryProductReport:
     failed: tuple
 
 
-def unitary_product_check(metric: DiagonalMetric, point, tol=1e-10):
+def unitary_product_check(metric: DiagonalMetric, point, tol=DEFAULT_TOLERANCE):
     """Check that a1, a2 only depend on (x1, x2) and a3, a4 on (x3, x4) at
     the point, through the eight frame cross-derivatives; a cross-derivative
     that is not finite there is a domain error, never a pass."""

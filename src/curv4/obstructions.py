@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .bivectors import FrameRotation, wedge
+from .bivectors import DEFAULT_TOLERANCE, FrameRotation, wedge
 from .kahler import (
     ComplexStructure,
     KahlerFrameView,
@@ -158,7 +158,7 @@ def _wedge_residual(m, q):
     return total
 
 
-def frame_search(r_op, restarts=32, seed=0, tol=1e-10):
+def frame_search(r_op, restarts=32, seed=0, tol=DEFAULT_TOLERANCE):
     """The frame minimizing the distinct-index residual, in closed form.
 
     Starting from the explicit frame of :func:`cp2_example_frame`, each
@@ -180,8 +180,8 @@ def frame_search(r_op, restarts=32, seed=0, tol=1e-10):
 
     ``restarts`` (at least 1) and ``seed`` (nonnegative) do not change the
     result.  They stay, validated, only because the frozen benchmark
-    (``bench/workloads.py`` and ``bench/clidocs.py``) passes them; ROADMAP
-    item 7 removes them together with that benchmark.
+    (``bench/workloads.py`` and ``bench/clidocs.py``) passes them; the next
+    benchmark change removes them.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -244,7 +244,7 @@ def _require_distinct_free(view, dres, tol):
         raise ValueError("frame carries distinct-index curvature components")
 
 
-def scalar_sign_check(r_op, structure, q: FrameRotation, tol=1e-9):
+def scalar_sign_check(r_op, structure, q: FrameRotation, tol=DEFAULT_TOLERANCE):
     """In a Kaehler frame with vanishing distinct-index components the three
     pair sums R_1212+R_3434, R_1313+R_2424, R_1414+R_2323 equal (r/2) a_1j^2,
     hence share the sign of the scalar curvature."""
@@ -303,7 +303,7 @@ class ObstructionReport:
         return doc
 
 
-def selfdual_classify(r_op, structure, q: FrameRotation, tol=1e-9):
+def selfdual_classify(r_op, structure, q: FrameRotation, tol=DEFAULT_TOLERANCE):
     """Classify a self-dual Kaehler operator given a distinct-index-free frame.
 
     Either the scalar curvature vanishes (and with it the whole self-dual
@@ -616,7 +616,7 @@ def ricciflat_nullspace(coeffs, include_distinct_index=True):
 # End-to-end pipeline.
 
 
-def run_obstruction_suite(r_op, structure=None, tolerance=1e-9):
+def run_obstruction_suite(r_op, structure=None, tolerance=DEFAULT_TOLERANCE):
     """closed-form frame -> Kaehler predicate -> scalar-sign relations -> the
     branch the operator belongs to (self-dual classification or Ricci-flat
     certificate), aggregated into one report.
@@ -628,6 +628,10 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9):
     apply).  A Ricci-flat Kaehler operator that is not self-dual is always
     inconclusive: its constraint nullspace has dimension at least 3 at every
     unit triple (criterion 09), and the report carries that dimension.
+
+    Every report but "flat" carries the Bianchi defect d.  The closed-form
+    frame reaches sqrt(residual) = |d| / sqrt(3), so no frame qualifies
+    exactly when |d| > sqrt(3) * tolerance * max(1, ||R||).
     """
     structure = structure if structure is not None else from_unitary_frame()
     norm = r_op.norm()
@@ -638,6 +642,7 @@ def run_obstruction_suite(r_op, structure=None, tolerance=1e-9):
             verdict=VERDICT_FLAT, residuals=residuals, tolerance=tolerance
         )
 
+    residuals["bianchi_defect"] = bianchi_defect(r_op)
     search = frame_search(r_op, tol=tolerance)
     residuals["distinct_index_residual"] = search.residual
     q = search.frame

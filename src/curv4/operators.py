@@ -87,7 +87,7 @@ class CurvatureOperator:
         defect = float(abs(m - m.T).max())
         if defect > SYMMETRY_TOL * scale:
             raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
-        m = 0.5 * (m + m.T)
+        m = 0.5 * (m + m.T) if defect else m  # exactly symmetric: nothing to average
         m.flags.writeable = False
         self.matrix = m
 

@@ -45,6 +45,15 @@ def random_rotation(rng):
     return FrameRotation(q)
 
 
+def star_perturbed_const_hol_sec(eps):
+    """build_const_hol_sec(1) plus eps w w^T, w the unit dual bivector of
+    the standard structure, as a matrix: still Kaehler and self-dual, with
+    Bianchi defect eps / 2, so every frame keeps a root residual of at least
+    eps / (2 sqrt 3)."""
+    w = from_unitary_frame().dual_bivector() / np.sqrt(2.0)
+    return build_const_hol_sec(1.0).matrix + eps * np.outer(w, w)
+
+
 def random_kahler_pair(rng):
     """Random (operator, structure) Kaehler pair: a nonnegative mix of the
     two builders pushed into a random frame."""

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,14 +20,19 @@ from conftest import (
     SAMPLE_DIR,
     SYMMETRIC_BASIS,
     kaehler_family_members,
+    star_perturbed_const_hol_sec,
 )
+import curv4
 from curv4 import (
-    build_const_hol_sec,
+    MetricDomainError,
     extend_to_bivectors,
     from_unitary_frame,
+    metric_from_dict,
+    nabla_J_residuals,
     ricciflat_nullspace,
 )
-from curv4.cli import emit_report, main
+from curv4.bivectors import DEFAULT_TOLERANCE
+from curv4.cli import _build_parser, emit_report, main
 from curv4.obstructions import _constraint_blocks
 
 # Every documented invocation with its contracted exit code; the acceptance
@@ -155,6 +161,64 @@ def test_non_unit_coeffs_exit_2(capsys):
     assert capsys.readouterr() == ("", "error: --coeffs must be a unit triple\n")
     with pytest.raises(ValueError, match="unit"):
         ricciflat_nullspace(outside)
+
+
+@pytest.mark.parametrize(
+    "a12, accepted",
+    [("1.0000000002", True), ("1.000000001", False)],
+    ids=["squares-1+4e-10", "squares-1+2e-9"],
+)
+def test_j_field_and_coeffs_share_the_unit_rule(a12, accepted, tmp_path, capsys):
+    # a J_field over the flat metric, the same triple through --coeffs, and
+    # the library route all apply the 1e-9 band on the sum of squares
+    doc = {"a1": "1", "a2": "1", "a3": "1", "a4": "1", "J_field": {"a12": a12, "a13": "0", "a14": "0"}}
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    metric, j_field = metric_from_dict(doc)
+    origin = (0.0, 0.0, 0.0, 0.0)
+    refusal = f"structure coefficients must have unit norm at {origin}; got [{a12}, 0.0, 0.0]"
+    code = main(["metric-curvature", "--input", str(path)])
+    err = capsys.readouterr().err
+    coeffs_code = main(["theorem", "ricci-flat", "--coeffs", f"{a12},0,0"])
+    coeffs_err = capsys.readouterr().err
+    if accepted:
+        np.testing.assert_array_equal(nabla_J_residuals(metric, j_field, origin), np.zeros(12))
+        assert (code, err) == (0, "")
+        assert (coeffs_code, coeffs_err) == (1, "")  # dimension 4 on the axis
+    else:
+        with pytest.raises(MetricDomainError) as refused:
+            nabla_J_residuals(metric, j_field, origin)
+        assert str(refused.value) == refusal
+        assert (code, err) == (2, f"error: {refusal}\n")
+        assert (coeffs_code, coeffs_err) == (2, "error: --coeffs must be a unit triple\n")
+
+
+def test_one_default_tolerance():
+    # every public check with a tolerance defaults to the command line's
+    checks = {}
+    for module in (curv4.kahler, curv4.metrics, curv4.obstructions):
+        for name, func in vars(module).items():
+            if inspect.isfunction(func) and func.__module__ == module.__name__ and not name.startswith("_"):
+                for param in inspect.signature(func).parameters.values():
+                    if param.name in ("tol", "tolerance"):
+                        checks[name] = param.default
+    assert checks == dict.fromkeys(
+        [
+            "frame_search", "kaehler_block_form", "run_obstruction_suite", "scalar_from_kaehler",
+            "scalar_sign_check", "selfdual_classify", "unitary_product_check",
+        ],
+        DEFAULT_TOLERANCE,
+    )
+    assert DEFAULT_TOLERANCE == 1e-9
+    parser = _build_parser()
+    for argv in (
+        ["decompose", "--input", "x"],
+        ["kahler-check", "--input", "x"],
+        ["metric-curvature", "--input", "x"],
+        ["frame-search", "--input", "x"],
+        ["theorem", "ricci-flat"],
+    ):
+        assert parser.parse_args(argv).tolerance == DEFAULT_TOLERANCE
 
 
 def test_unknown_builder_exits_2(tmp_path, capsys):
@@ -505,15 +569,6 @@ def test_kahler_check_fails_an_operator_only_the_lines_accept(tmp_path, capsys):
     assert "notes: [\"operator is not Kaehler" in capsys.readouterr().out
 
 
-def _star_perturbed_const_hol_sec():
-    """build_const_hol_sec(1) plus 1e-6 w w^T, w the unit dual bivector of
-    the standard structure: still Kaehler, but with Bianchi defect 5e-7, so
-    every frame keeps a root residual near 2.9e-7, above the default
-    tolerance."""
-    w = from_unitary_frame().dual_bivector() / np.sqrt(2.0)
-    return build_const_hol_sec(1.0).matrix + 1e-6 * np.outer(w, w)
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "command, field, value, line",
@@ -528,7 +583,8 @@ def test_star_perturbed_kaehler_operator_is_inconclusive(
     # the frame step and the sign check judge the frame by one rule, so the
     # pipeline stops at the frame instead of failing one step later
     path = tmp_path / "operator.json"
-    path.write_text(json.dumps({"matrix": _star_perturbed_const_hol_sec().tolist()}))
+    # Bianchi defect 5e-7: every frame keeps a root residual near 2.9e-7
+    path.write_text(json.dumps({"matrix": star_perturbed_const_hol_sec(1e-6).tolist()}))
     assert main([*command, "--input", str(path), "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -11,7 +11,6 @@ from curv4 import (
     JField,
     MetricDomainError,
     ParseError,
-    ScalarField,
     bianchi_defect,
     christoffel_oracle,
     connection_coeffs,
@@ -34,6 +33,7 @@ from curv4.metrics import (
     _inputs_first,
     _nabla_j_exprs,
     _validate_expr,
+    parse_expression,
 )
 
 COORDS = sp.symbols("x1:5")  # equal to the symbols the parser builds
@@ -72,17 +72,17 @@ def random_point(rng):
 # --- parser and fields --------------------------------------------------------
 
 def test_parser_numbers_and_precedence():
-    assert ScalarField("1 + 2*x1^2").expr == 1 + 2 * X1**2
-    assert ScalarField("x1 - x2 - x3").expr == X1 - X2 - X3
-    assert ScalarField("2*x1/x2").expr == 2 * X1 / X2
-    assert ScalarField("-x1^2").expr == -(X1**2)
-    assert ScalarField("x1^-2").expr == X1 ** (-2)
-    assert ScalarField("0.25").expr == sp.Rational(1, 4)
+    assert parse_expression("1 + 2*x1^2") == 1 + 2 * X1**2
+    assert parse_expression("x1 - x2 - x3") == X1 - X2 - X3
+    assert parse_expression("2*x1/x2") == 2 * X1 / X2
+    assert parse_expression("-x1^2") == -(X1**2)
+    assert parse_expression("x1^-2") == X1 ** (-2)
+    assert parse_expression("0.25") == sp.Rational(1, 4)
 
 
 def test_parser_functions():
-    assert ScalarField("exp(x2)").expr == sp.exp(X2)
-    assert ScalarField("sqrt(1 + x1^2)").expr == sp.sqrt(1 + X1**2)
+    assert parse_expression("exp(x2)") == sp.exp(X2)
+    assert parse_expression("sqrt(1 + x1^2)") == sp.sqrt(1 + X1**2)
 
 
 @pytest.mark.parametrize(
@@ -100,21 +100,21 @@ def test_parser_functions():
 )
 def test_parser_reports_positions(text, column):
     with pytest.raises(ParseError) as err:
-        ScalarField(text)
+        parse_expression(text)
     assert err.value.position == column
     assert f"column {column}" in str(err.value)
 
 
 def test_scalar_field_node_set_closed_under_diff():
-    field = ScalarField("sqrt(1 + x1^2) * exp(x2) / x3")
+    expr = parse_expression("sqrt(1 + x1^2) * exp(x2) / x3")
     for x in COORDS:
-        _validate_expr(field.expr.diff(x))
+        _validate_expr(expr.diff(x))
     # sqrt(-1) is the imaginary unit; sqrt(sqrt(x1)) has exponent 1/4
     for text in ("sqrt(0-1)", "sqrt(sqrt(x1))"):
         with pytest.raises(ValueError, match="unsupported"):
-            ScalarField(text)
+            parse_expression(text)
     with pytest.raises(ParseError, match="unknown identifier"):
-        ScalarField("y")
+        parse_expression("y")
 
 
 def test_scalar_field_evaluation():
@@ -126,7 +126,7 @@ def test_metric_dict_roundtrip():
     doc = {"a1": "exp(x2)", "a2": "1", "a3": "1", "a4": "1"}
     metric, j_field = metric_from_dict(doc)
     assert j_field is None
-    assert str(metric.scales[0].expr) == "exp(x2)"
+    assert str(metric.key[0]) == "exp(x2)"
     with pytest.raises(ValueError, match="missing"):
         metric_from_dict({"a1": "1"})
 
@@ -326,6 +326,64 @@ def test_each_route_makes_one_compiled_call_per_point(route, monkeypatch):
     for point in points:
         route(metric, j_field, point)
     assert len(calls) == len(points)
+
+
+def _route_values(result):
+    # a route returns an array, an operator or a product report
+    if isinstance(result, np.ndarray):
+        return result
+    if hasattr(result, "matrix"):
+        return result.matrix
+    return np.array(list(result.residuals.values()))
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize(
+    "point",
+    [
+        pytest.param(("0.1", True, 0, 0), id="bool-and-string"),
+        pytest.param((0.1, True, 0.0, 0.0), id="bool"),
+        pytest.param(("0.1", 0.0, 0.0, 0.0), id="numeric-string"),
+        pytest.param((None, 0.0, 0.0, 0.0), id="none"),
+        pytest.param((0.1 + 0j, 0.0, 0.0, 0.0), id="complex"),
+        pytest.param((float("nan"), 0.0, 0.0, 0.0), id="nan"),
+        pytest.param((0.0, 0.0, 0.0), id="three-coordinates"),
+    ],
+)
+def test_each_route_reads_the_point_by_the_number_rule(route, point):
+    metric, j_field = DiagonalMetric(*PRODUCT_SCALES), JField("1", "0", "0")
+    with pytest.raises(ValueError, match="^point: ") as err:
+        route(metric, j_field, point)
+    assert type(err.value) is ValueError  # a number error, not a domain error
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_each_route_accepts_ints_and_numpy_floats(route):
+    metric, j_field = DiagonalMetric(*PRODUCT_SCALES), JField("1", "0", "0")
+    expected = _route_values(route(metric, j_field, (0.5, 1.0, 0.0, -1.0)))
+    for point in (
+        (0.5, 1, 0, -1),
+        np.array([0.5, 1.0, 0.0, -1.0]),
+        (np.float32(0.5), np.float64(1.0), np.int64(0), -1),
+    ):
+        np.testing.assert_array_equal(_route_values(route(metric, j_field, point)), expected)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0.0, 0.0, 0.0, 0.0), np.zeros(4), tuple(np.zeros(4))],
+    ids=["floats", "array", "numpy-floats"],
+)
+def test_evaluators_get_python_floats(point):
+    # numpy scalars would raise 0.0 to the power -1 as inf and a negative base
+    # to the power 3/2 as NaN, so both errors would read "not finite"
+    at = r"at \(0\.0, 0\.0, 0\.0, 0\.0\)"
+    flat = DiagonalMetric("1", "1", "1", "1")
+    with pytest.raises(MetricDomainError, match=f"^the metric is not defined {at}: "):
+        nabla_J_residuals(flat, JField("1/x1", "0", "0"), point)
+    mixed = DiagonalMetric("1+sqrt(x1-1)^3", "1", "1", "1")
+    with pytest.raises(MetricDomainError, match=f"^the scale functions are not real {at}$"):
+        curvature_at(mixed, point)
 
 
 # a1 vanishes at the origin; with a3 = 1 + x1, every route divides by a1

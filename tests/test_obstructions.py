@@ -16,6 +16,7 @@ from conftest import (
     random_bianchi,
     random_rotation,
     random_symmetric6,
+    star_perturbed_const_hol_sec,
 )
 from curv4 import (
     ADAPTED_IDENTITY,
@@ -697,6 +698,12 @@ def test_suite_on_kaehler_members_with_a_small_star_part(kind, rng):
         for eps, tol in itertools.product((1e-9, 1e-7, 1e-5), (1e-12, 1e-9, 1e-6)):
             op = CurvatureOperator(m + eps * np.outer(w, w))
             report = run_obstruction_suite(op, structure, tolerance=tol)
+            # the report names the Bianchi defect, which sets the frame's floor
+            defect = report.residuals["bianchi_defect"]
+            assert defect == bianchi_defect(op)
+            assert np.sqrt(report.residuals["distinct_index_residual"]) == pytest.approx(
+                abs(defect) / np.sqrt(3.0), rel=1e-6
+            )
             if report.notes == ("no frame with vanishing distinct-index components was found",):
                 assert report.verdict == VERDICT_INCONCLUSIVE
                 continue
@@ -705,6 +712,24 @@ def test_suite_on_kaehler_members_with_a_small_star_part(kind, rng):
             assert sign.max_deviation == report.residuals["scalar_relation_deviation"]
             if kind == "self-dual":
                 assert selfdual_classify(op, structure, q, tol).verdict == report.verdict
+
+
+def test_frame_search_and_suite_agree_at_the_default_tolerance():
+    # sqrt(residual) = 5.8e-10 lies between 1e-10 and 1e-9 times ||R|| = 1.73
+    op = CurvatureOperator(star_perturbed_const_hol_sec(2e-9))
+    assert frame_search(op).conclusive
+    report = run_obstruction_suite(op)
+    assert report.verdict == VERDICT_SPECIAL_FRAME
+    assert report.residuals["bianchi_defect"] == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_suite_reports_the_bianchi_defect_it_passes():
+    # at a loose tolerance the frame's floor |d| / sqrt(3) passes an operator
+    # off the Bianchi identity; the verdict stands, and the report shows d
+    op = CurvatureOperator(star_perturbed_const_hol_sec(1e-3))
+    report = run_obstruction_suite(op, tolerance=1e-3)
+    assert report.verdict == VERDICT_SPECIAL_FRAME
+    assert report.residuals["bianchi_defect"] == pytest.approx(5e-4, rel=1e-9)
 
 
 def test_non_kahler_residual_exceeds_tolerance_reported():
