@@ -147,7 +147,7 @@ _FS = np.ix_(PAIR_FIRST, PAIR_SECOND)
 
 def induced_map(a):
     """6x6 matrix of v^w -> (Av)^(Aw) for an arbitrary 4x4 matrix A."""
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, (4, 4), "induced_map argument")
     return a[_FF] * a[_SS] - a[_SF] * a[_FS]
 
 

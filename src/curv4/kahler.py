@@ -380,8 +380,9 @@ def build_const_hol_sec(c):
     the standard structure; anti-self-dual part zero.
     """
     w = _dual_bivector_coeffs(STANDARD_J)
+    c = float(_real_array(c, (), "holomorphic sectional curvature"))
     return CurvatureOperator(
-        (float(c) / 4.0) * (np.eye(6) + induced_map(STANDARD_J) + 2.0 * np.outer(w, w))
+        (c / 4.0) * (np.eye(6) + induced_map(STANDARD_J) + 2.0 * np.outer(w, w))
     )
 
 
@@ -392,7 +393,7 @@ def build_surface_product(k1, k2):
     Kaehler for the standard structure; conformally flat exactly when
     k2 = -k1.
     """
-    r_op = from_components([(1, 2, 1, 2, float(k1)), (3, 4, 3, 4, float(k2))])
+    r_op = from_components([(1, 2, 1, 2, k1), (3, 4, 3, 4, k2)])
     return r_op, from_unitary_frame()
 
 

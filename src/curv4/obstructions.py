@@ -27,11 +27,9 @@ import numpy as np
 
 from .bivectors import DEFAULT_TOLERANCE, FrameRotation, wedge
 from .kahler import (
-    ComplexStructure,
     KahlerFrameView,
+    _identity_lines,
     from_unitary_frame,
-    kaehler_residuals,
-    structure_from_coeffs,
     unit_triple,
 )
 from .operators import (
@@ -511,16 +509,15 @@ def _constraint_blocks():
     """The Ricci-flat constraint rows on the symmetric basis, read-only and
     shared by every call: the Bianchi row, the twelve Kaehler lines of each
     axis structure e_k in the identity frame (3 x 12 x 21), the ten Ricci
-    rows and the three distinct-index rows."""
-    identity = FrameRotation.identity()
-    axes = [ComplexStructure(structure_from_coeffs(e)) for e in np.eye(3)]
+    rows and the three distinct-index rows.  The structure e_k has the
+    triple e_k in the identity frame, so no structure is built."""
     upper = np.triu_indices(4)
     columns = []
     for e in _symmetric(np.eye(_SYM_COUNT)):
         op = CurvatureOperator(e)
         column = [bianchi_defect(op)]
-        for axis in axes:
-            column.extend(kaehler_residuals(op, axis, identity))
+        for axis in np.eye(3):
+            column.extend(_identity_lines(op, axis)[0])
         column.extend(ricci(op)[upper])
         column.extend(distinct_index_components(op))
         columns.append(column)

@@ -111,16 +111,16 @@ class CurvatureOperator:
 def from_components(components):
     """Build an operator from (i, j, k, l, value) entries.
 
-    Indices are 1-based with i != j and k != l.  Entries related by the
-    index symmetries (antisymmetry in each pair, pair exchange) must agree;
-    unspecified components are zero.
+    Indices are 1-based with i != j and k != l; values are finite reals.
+    Entries related by the index symmetries (antisymmetry in each pair, pair
+    exchange) must agree; unspecified components are zero.
     """
     entries = list(components)
     rows, cols, signs = _component_index([entry[:4] for entry in entries])
     m = np.zeros((6, 6))
     seen = np.zeros((6, 6), dtype=bool)
     for (i, j, k, l, value), b, a, s in zip(entries, rows.tolist(), cols.tolist(), signs.tolist()):
-        v = s * float(value)
+        v = s * float(_real_array(value, (), f"component R_{i}{j}{k}{l}"))
         for row, col in {(b, a), (a, b)}:
             if seen[row, col] and abs(m[row, col] - v) > 1e-12 * max(
                 1.0, abs(v), abs(m[row, col])
@@ -216,6 +216,12 @@ def s_map(t):
     return CurvatureOperator(m)
 
 
+# The projections (Id + *)/2 and (Id - *)/2 onto the self-dual and anti-self-dual forms.
+_SELF_DUAL = 0.5 * (np.eye(6) + HODGE_MATRIX)
+_ANTI_SELF_DUAL = 0.5 * (np.eye(6) - HODGE_MATRIX)
+_SELF_DUAL.flags.writeable = _ANTI_SELF_DUAL.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """The five orthogonal pieces of a symmetric operator, plus r.
@@ -246,26 +252,20 @@ def decompose(r_op):
     """Split an arbitrary symmetric operator into its five invariant pieces.
 
     Inputs violating the Bianchi identity are allowed: their star component
-    is removed first (bianchi_part), then the Weyl halves are read off the
-    diagonal blocks of what remains in the adapted basis.
+    is removed first (bianchi_part), then the scalar part.  Of the rest X,
+    the Weyl halves are P+ X P+ and P- X P- with the projections
+    P+- = (Id +- *)/2, and the traceless Ricci part is what X keeps besides.
     """
-    m = r_op.matrix
     beta = _star_pairing(r_op) / 6.0
     bianchi = beta * HODGE_MATRIX
     r = scalar_curvature(r_op)
     scalar = (r / 12.0) * np.eye(6)
-    ric0 = s_map(ricci(r_op) - (r / 4.0) * np.eye(4)).matrix
-    remainder = m - bianchi - scalar - ric0
-    rem_ad = ADAPTED_IDENTITY.T @ remainder @ ADAPTED_IDENTITY
-    wp_ad = np.zeros((6, 6))
-    wp_ad[:3, :3] = rem_ad[:3, :3]
-    wm_ad = np.zeros((6, 6))
-    wm_ad[3:, 3:] = rem_ad[3:, 3:]
-    weyl_plus = ADAPTED_IDENTITY @ wp_ad @ ADAPTED_IDENTITY.T
-    weyl_minus = ADAPTED_IDENTITY @ wm_ad @ ADAPTED_IDENTITY.T
+    x = r_op.matrix - bianchi - scalar
+    weyl_plus = _SELF_DUAL @ x @ _SELF_DUAL
+    weyl_minus = _ANTI_SELF_DUAL @ x @ _ANTI_SELF_DUAL
     return Decomposition(
         scalar_part=CurvatureOperator(scalar),
-        traceless_ricci_part=CurvatureOperator(ric0),
+        traceless_ricci_part=CurvatureOperator(x - weyl_plus - weyl_minus),
         weyl_plus=CurvatureOperator(weyl_plus),
         weyl_minus=CurvatureOperator(weyl_minus),
         bianchi_part=CurvatureOperator(bianchi),
@@ -291,13 +291,14 @@ def weyl_block(r_op, sign, q: FrameRotation):
 
     The star component is removed first so the blocks agree entrywise with
     the component formulas, e.g. the (1,1) entry of the + block is
-    (R_1212 + R_3434 + 2 R_1234)/2 in the rotated frame.
+    (R_1212 + R_3434 + 2 R_1234)/2 in the rotated frame.  The star is +Id
+    and -Id on the two blocks, in the adapted basis of every frame.
     """
     s = unit_sign(sign)
     beta = _star_pairing(r_op) / 6.0
-    reduced = CurvatureOperator(r_op.matrix - beta * HODGE_MATRIX)
-    ad = adapted_form(reduced, q)
-    return ad[:3, :3] if s > 0 else ad[3:, 3:]
+    ad = adapted_form(r_op, q)
+    block = ad[:3, :3] if s > 0 else ad[3:, 3:]
+    return block - (s * beta) * np.eye(3)
 
 
 def operator_from_dict(doc):
@@ -314,10 +315,9 @@ def operator_from_dict(doc):
         entries = []
         for item in doc["components"]:
             ijkl = item.get("ijkl") if isinstance(item, dict) else None
-            # from_components holds each index to the one index rule
+            # from_components holds each index and each value to its one rule
             if not (isinstance(ijkl, (list, tuple)) and len(ijkl) == 4):
                 raise ValueError(f"component entry needs a 4-index 'ijkl', got {item!r}")
-            value = _real_array(item.get("value"), (), f"'value' of component entry {item!r}")
-            entries.append((*ijkl, float(value)))
+            entries.append((*ijkl, item.get("value")))
         return from_components(entries)
     raise ValueError("operator document needs a 'matrix' or a 'components' key")

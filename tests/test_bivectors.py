@@ -185,6 +185,18 @@ def test_induced_map_matches_direct_wedge(rng):
             np.testing.assert_allclose(l[:, slot], direct, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[["1", "0", "0", "0"]] * 4, np.eye(4, dtype=bool), np.eye(4) * (1 + 1j)],
+    ids=["strings", "booleans", "complex"],
+)
+def test_induced_map_reads_its_matrix_by_the_number_rule(a):
+    # numpy reads each as a float matrix; the complex one would lose its
+    # imaginary part
+    with pytest.raises(ValueError, match="finite real numbers"):
+        induced_map(a)
+
+
 def test_induced_rotation_orthogonal_commutes_with_star(rng):
     for _ in range(30):
         l = induced_rotation(random_rotation(rng))

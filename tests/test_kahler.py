@@ -302,6 +302,23 @@ def test_build_surface_product_cases():
     assert np.max(np.abs(j.matrix - STANDARD_J)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_const_hol_sec, ("1",)),
+        (build_const_hol_sec, (True,)),
+        (build_surface_product, (1.0, "1")),
+        (build_surface_product, (True, 1.0)),
+    ],
+    ids=["const-hol-sec-string", "const-hol-sec-boolean",
+         "surface-product-string", "surface-product-boolean"],
+)
+def test_builders_read_params_by_the_number_rule(build, args):
+    # float() reads each as 1.0
+    with pytest.raises(ValueError, match="expected finite real numbers"):
+        build(*args)
+
+
 def test_scalar_flat_selfdual_forces_scalar_zero(rng):
     # vanishing self-dual Weyl part forces vanishing scalar curvature over
     # the random Kaehler family (and the implication is not vacuous)

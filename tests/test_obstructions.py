@@ -11,6 +11,7 @@ import curv4
 from conftest import (
     KAEHLER_FAMILY_DIMENSIONS,
     SAMPLE_DIR,
+    SYMMETRIC_BASIS,
     kaehler_family,
     kaehler_family_members,
     random_bianchi,
@@ -43,6 +44,7 @@ from curv4 import (
     ricci,
     ricciflat_nullspace,
     run_obstruction_suite,
+    scalar_curvature,
     scalar_sign_check,
     selfdual_classify,
     structure_from_coeffs,
@@ -463,6 +465,15 @@ def test_kaehler_lines_are_linear_in_the_coefficients(rng):
     # that rests on, and a guard that the shared rows are not mutated
     identity = FrameRotation.identity()
     axes = [ComplexStructure(structure_from_coeffs(e)) for e in np.eye(3)]
+    # the shared rows, read off the components, are the lines of the axis
+    # structures on each basis operator
+    through_structures = [
+        [kaehler_residuals(CurvatureOperator(e), axis, identity) for e in SYMMETRIC_BASIS]
+        for axis in axes
+    ]
+    assert np.array_equal(
+        _constraint_blocks()[1], np.transpose(through_structures, (0, 2, 1))
+    )
     for _ in range(10):
         op = random_bianchi(rng)
         a = rng.standard_normal(3)
@@ -679,10 +690,18 @@ def test_suite_verdict_on_each_exact_kaehler_family(kind, rng):
     # dimension 3, so the Ricci-flat branch has no violation to report
     assert len(kaehler_family(kind)) == KAEHLER_FAMILY_DIMENSIONS[kind]
     for m, j in kaehler_family_members(kind, rng, 40):
-        report = run_obstruction_suite(CurvatureOperator(m), ComplexStructure(j))
+        op, structure = CurvatureOperator(m), ComplexStructure(j)
+        report = run_obstruction_suite(op, structure)
         dimension = report.residuals.get("ricciflat_nullspace_dimension")
         assert (report.verdict, dimension, report.notes) == _FAMILY_VERDICTS[kind]
         assert report.residuals["kaehler_operator_defect"] <= 1e-12
+        if abs(scalar_curvature(op)) > 1e-9:
+            # the closed-form frame turns the self-dual block (r/4) a a^T to a
+            # constant diagonal, so every Kaehler member with r != 0, self-dual
+            # or not, carries a^2 = 1/3 there: the suite's special-frame-branch
+            # holds by construction of its frame
+            a = coeffs_in_frame(structure, frame_search(op).frame)
+            np.testing.assert_allclose(a**2, 1.0 / 3.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", sorted(KAEHLER_FAMILY_DIMENSIONS))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_bianchi, random_rotation, random_symmetric6
 from curv4 import (
+    ADAPTED_IDENTITY,
     HODGE_MATRIX,
     CurvatureOperator,
     FrameRotation,
@@ -87,6 +88,13 @@ def test_from_components_index_validation():
     # 1.0 == 1, but a float index is refused like a boolean one
     with pytest.raises(ValueError, match="integers 1..4"):
         from_components([(1.0, 2, 1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("value", ["1", True])
+def test_from_components_reads_values_by_the_number_rule(value):
+    # float() reads each as 1.0
+    with pytest.raises(ValueError, match="component R_1212: expected finite real numbers"):
+        from_components([(1, 2, 1, 2, value)])
 
 
 def test_component_index_symmetries(rng):
@@ -277,13 +285,33 @@ def test_decompose_surface_product_conformally_flat():
     assert dec.traceless_ricci_part.norm() > 0.5
 
 
+def s_map_route_parts(op):
+    # the traceless Ricci part as s_map of the traceless Ricci tensor, then
+    # the Weyl halves as the diagonal adapted blocks of what the star, scalar
+    # and traceless Ricci parts leave
+    m, a = op.matrix, ADAPTED_IDENTITY
+    r = scalar_curvature(op)
+    star = (np.sum(m * HODGE_MATRIX) / 6.0) * HODGE_MATRIX
+    ric0 = s_map(ricci(op) - (r / 4.0) * np.eye(4)).matrix
+    rest = a.T @ (m - star - (r / 12.0) * np.eye(6) - ric0) @ a
+    plus, minus = np.zeros((6, 6)), np.zeros((6, 6))
+    plus[:3, :3], minus[3:, 3:] = rest[:3, :3], rest[3:, 3:]
+    return ric0, a @ plus @ a.T, a @ minus @ a.T
+
+
 def test_decompose_reconstruction_and_orthogonality(rng):
-    for _ in range(200):
-        op = random_symmetric6(rng)
+    # the parts against a second route that does not use the projections
+    # (Id +- *)/2, with and without the Bianchi identity, at scales 1e-3..1e3
+    for k in range(1000):
+        make = random_bianchi if k % 2 else random_symmetric6
+        op = make(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+        tol = 1e-12 * max(1.0, op.norm())
         dec = decompose(op)
+        for part, expected in zip(dec.parts()[1:4], s_map_route_parts(op)):
+            assert np.max(np.abs(part.matrix - expected)) <= tol
         parts = dec.parts()
         total = sum(p.matrix for p in parts)
-        assert np.linalg.norm(total - op.matrix) <= 1e-10
+        assert np.linalg.norm(total - op.matrix) <= tol
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:
                 bound = 1e-10 * max(1.0, p.norm() * q.norm())
