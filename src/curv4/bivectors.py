@@ -37,9 +37,17 @@ HODGE_MATRIX = np.array(
 )
 HODGE_MATRIX.flags.writeable = False
 
-# Frames are accepted as rotations when they pass these absolute checks;
-# double-precision products of well-conditioned 4x4 matrices sit far below.
-ORTHOGONALITY_TOL = 1e-9
+# The projections P+- = (Id +- *)/2 onto the self-dual and anti-self-dual 2-forms.
+SELF_DUAL_PROJECTION = 0.5 * (np.eye(6) + HODGE_MATRIX)
+ANTI_SELF_DUAL_PROJECTION = 0.5 * (np.eye(6) - HODGE_MATRIX)
+SELF_DUAL_PROJECTION.flags.writeable = ANTI_SELF_DUAL_PROJECTION.flags.writeable = False
+
+# A frame passes when max|Q^T Q - Id| <= ORTHOGONALITY_TOL.  In a frame of defect d
+# the Kaehler lines of a Kaehler R exceed its operator defect by up to about
+# 1.3 d max(1, ||R||) (measured), a structure at the structure rule's bound adds
+# 0.6e-12, and KahlerFrameView allows 1e-12 max(1, ||R||): the sum stays near
+# 0.7e-12 at 1e-13, while 1e-12 trips it.  Frames in use reach about 1e-15.
+ORTHOGONALITY_TOL = 1e-13
 
 # The default tolerance of every check, in the library and on the command line.
 DEFAULT_TOLERANCE = 1e-9
@@ -104,9 +112,23 @@ def unit_sign(sign):
 
 def sd_project(b, sign):
     """Self-dual (+) or anti-self-dual (-) part, (b +/- *b)/2."""
-    s = unit_sign(sign)
-    b = _real_array(b, (6,), "bivector")
-    return 0.5 * (b + s * (HODGE_MATRIX @ b))
+    proj = SELF_DUAL_PROJECTION if unit_sign(sign) > 0 else ANTI_SELF_DUAL_PROJECTION
+    return proj @ _real_array(b, (6,), "bivector")
+
+
+def _form_to_skew(form):
+    """The skew 4x4 matrix M, M[j, i] = b_ij = -M[i, j] for i < j, of a 2-form b,
+    or of each 2-form in a stack."""
+    m = np.zeros(form.shape[:-1] + (4, 4))
+    m[..., PAIR_SECOND, PAIR_FIRST] = form
+    m[..., PAIR_FIRST, PAIR_SECOND] = -form
+    return m
+
+
+def _skew_to_form(m):
+    """The 2-form sum_{i<j} <M e_i, e_j> e_i^e_j of a 4x4 matrix M: the inverse
+    of :func:`_form_to_skew` on skew matrices."""
+    return m[PAIR_SECOND, PAIR_FIRST]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +149,7 @@ class FrameRotation:
         if defect > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")
         det = float(np.linalg.det(q))
-        if abs(det - 1.0) > ORTHOGONALITY_TOL:
+        if det < 0.0:  # orthogonal within the tolerance, so det is +-1 within about 2e-13
             raise ValueError(f"matrix must have determinant +1 (det {det:.9f})")
         q.flags.writeable = False
         object.__setattr__(self, "matrix", q)
@@ -162,10 +184,11 @@ def induced_rotation(q: FrameRotation):
 
 _SQRT2 = np.sqrt(2.0)
 
-# Columns are the adapted bivectors of the identity frame: three self-dual,
-# (e1^e2+e3^e4, e1^e3-e2^e4, e1^e4+e2^e3)/sqrt2, then the anti-self-dual
-# three with the opposite middle signs.
-ADAPTED_IDENTITY = np.array(
+# Columns are sqrt2 times the adapted bivectors of the identity frame: three
+# self-dual, e1^e2+e3^e4, e1^e3-e2^e4, e1^e4+e2^e3, then the anti-self-dual
+# three with the opposite middle signs.  Their skew matrices are the six
+# generators of the two isoclinic factors of SO(4).
+ADAPTED_SQRT2 = np.array(
     [
         [1, 0, 0, 1, 0, 0],
         [0, 1, 0, 0, 1, 0],
@@ -175,5 +198,16 @@ ADAPTED_IDENTITY = np.array(
         [1, 0, 0, -1, 0, 0],
     ],
     dtype=float,
-) / _SQRT2
-ADAPTED_IDENTITY.flags.writeable = False
+)
+ADAPTED_IDENTITY = ADAPTED_SQRT2 / _SQRT2
+ADAPTED_SQRT2.flags.writeable = ADAPTED_IDENTITY.flags.writeable = False
+
+# Each row of the three self-dual columns holds a single +-1: its column and sign.
+_SD_COLUMN = np.argmax(np.abs(ADAPTED_SQRT2[:, :3]), axis=1)
+_SD_SIGN = ADAPTED_SQRT2[:, :3].sum(axis=1)
+
+
+def _self_dual_skew(triple):
+    """The skew matrix of a12 (e1^e2+e3^e4) + a13 (e1^e3-e2^e4) + a14 (e1^e4+e2^e3),
+    its 2-form gathered from the triple so that signed zeros come through."""
+    return _form_to_skew(_SD_SIGN * triple[_SD_COLUMN])

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .bivectors import DEFAULT_TOLERANCE, FrameRotation, wedge
+from .bivectors import ADAPTED_SQRT2, DEFAULT_TOLERANCE, FrameRotation, _form_to_skew, wedge
 from .kahler import (
     KahlerFrameView,
     _identity_lines,
@@ -54,17 +54,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # The two isoclinic (left/right quaternion) factors of SO(4): the exponential
 # of a combination of either generator triple, each a two-term closed form.
 
-_GENERATORS = np.array(
-    [
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-        [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
-    ],
-    dtype=float,
-)
+_GENERATORS = _form_to_skew(ADAPTED_SQRT2.T) + 0.0  # -0.0 entries read as +0.0
 _GENERATORS.flags.writeable = False
 _EYE4 = np.eye(4)
 

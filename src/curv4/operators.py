@@ -23,10 +23,13 @@ import numpy as np
 
 from .bivectors import (
     ADAPTED_IDENTITY,
+    ANTI_SELF_DUAL_PROJECTION,
     HODGE_MATRIX,
     PAIR_FIRST,
     PAIR_SECOND,
+    SELF_DUAL_PROJECTION,
     FrameRotation,
+    _form_to_skew,
     _real_array,
     induced_rotation,
     unit_sign,
@@ -40,11 +43,9 @@ _NORM_SAFE_ENTRY = 1e150
 
 # The one index rule, R_ijkl = sign * m[row, col], for 0-based indices: the
 # lexicographic slot of each ordered pair, and the sign sorting it picks up
-# (0 for a repeated index).
-_SLOT = np.zeros((4, 4), dtype=int)
-_SLOT[PAIR_FIRST, PAIR_SECOND] = _SLOT[PAIR_SECOND, PAIR_FIRST] = np.arange(6)
-_SIGN = np.zeros((4, 4))
-_SIGN[PAIR_FIRST, PAIR_SECOND], _SIGN[PAIR_SECOND, PAIR_FIRST] = 1.0, -1.0
+# (0 for a repeated index): the skew matrices of the 2-forms (0, 1, ..., 5) and -(1, ..., 1).
+_SLOT = np.abs(_form_to_skew(np.arange(6))).astype(int)
+_SIGN = _form_to_skew(-np.ones(6))
 _SIGN4 = np.multiply.outer(_SIGN, _SIGN)
 
 
@@ -216,12 +217,6 @@ def s_map(t):
     return CurvatureOperator(m)
 
 
-# The projections (Id + *)/2 and (Id - *)/2 onto the self-dual and anti-self-dual forms.
-_SELF_DUAL = 0.5 * (np.eye(6) + HODGE_MATRIX)
-_ANTI_SELF_DUAL = 0.5 * (np.eye(6) - HODGE_MATRIX)
-_SELF_DUAL.flags.writeable = _ANTI_SELF_DUAL.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """The five orthogonal pieces of a symmetric operator, plus r.
@@ -261,8 +256,8 @@ def decompose(r_op):
     r = scalar_curvature(r_op)
     scalar = (r / 12.0) * np.eye(6)
     x = r_op.matrix - bianchi - scalar
-    weyl_plus = _SELF_DUAL @ x @ _SELF_DUAL
-    weyl_minus = _ANTI_SELF_DUAL @ x @ _ANTI_SELF_DUAL
+    weyl_plus = SELF_DUAL_PROJECTION @ x @ SELF_DUAL_PROJECTION
+    weyl_minus = ANTI_SELF_DUAL_PROJECTION @ x @ ANTI_SELF_DUAL_PROJECTION
     return Decomposition(
         scalar_part=CurvatureOperator(scalar),
         traceless_ricci_part=CurvatureOperator(x - weyl_plus - weyl_minus),

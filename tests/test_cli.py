@@ -668,9 +668,26 @@ _CP2 = [
     [0.0, 2**-0.5, -(2**-0.5), 0.0],
     [0.0, 6**-0.5, 6**-0.5, -((2 / 3) ** 0.5)],
 ]
-# rotations, a reflection and a non-orthogonal matrix
-_MATRIX4 = st.sampled_from([_EYE, _CP2, [_EYE[1], _EYE[0], *_EYE[2:]], [[2.0] * 4] * 4])
-_OPERATOR_EXTRAS = {"J": st.sampled_from([_STANDARD_J, _EYE]), "frame": _MATRIX4}
+
+
+def _moved(rows, i, j, eps):
+    """rows with eps added to entry (i, j)."""
+    moved = [list(row) for row in rows]
+    moved[i][j] += eps
+    return moved
+
+
+# rotations, a reflection, a non-orthogonal matrix, and rotations of
+# orthogonality defect 4e-10 and 1e-11 that the Kaehler checks once crashed on
+_MATRIX4 = st.sampled_from([_EYE, _CP2, [_EYE[1], _EYE[0], *_EYE[2:]], [[2.0] * 4] * 4,
+                            _moved(_CP2, 0, 1, 4e-10), _moved(_CP2, 0, 1, 1e-11)])
+# J, J scaled by 1 + 4e-10, e1^e2 (half self-dual, half anti-self-dual), Id and 0
+_OPERATOR_EXTRAS = {
+    "J": st.sampled_from([_STANDARD_J, [[(1 + 4e-10) * v for v in row] for row in _STANDARD_J],
+                          [_STANDARD_J[0], _STANDARD_J[1], [0.0] * 4, [0.0] * 4],
+                          _EYE, [[0.0] * 4] * 4]),
+    "frame": _MATRIX4,
+}
 _OPERATOR_DOC = _spoiled(st.one_of(
     st.fixed_dictionaries(
         {"matrix": st.lists(_NUMBER, min_size=21, max_size=21).map(_symmetric_rows)},
@@ -968,3 +985,14 @@ def test_readme_library_example_runs():
     assert len(lines) == 3 and proc.stderr == ""
     assert lines[1].split()[-1] == "True"
     assert lines[2] == "special-frame-branch"
+
+
+@pytest.mark.parametrize("eps", [4e-10, 1e-11])
+def test_kahler_check_refuses_frames_beyond_the_orthogonality_tolerance(tmp_path, eps):
+    # the frame rule once passed these, and the Kaehler checks then crashed
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"Q": _moved(_CP2, 0, 1, eps)}))
+    argv = resolve(["kahler-check", "--input", "const_hol_sec.json"]) + ["--frame", str(frame)]
+    code, out, err = _run_main(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "matrix is not orthogonal" in err
