@@ -145,6 +145,11 @@ class FrameRotation:
 
     def __post_init__(self):
         q = _real_array(self.matrix, (4, 4), "frame rotation")
+        largest = float(np.max(np.abs(q)))
+        if largest > 2.0:
+            # no entry of an orthogonal matrix exceeds 1; refusing these first
+            # keeps q^T q from overflowing
+            raise ValueError(f"matrix is not orthogonal (entry {largest:.3e})")
         defect = float(np.max(np.abs(q.T @ q - np.eye(4))))
         if defect > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {defect:.3e})")

@@ -1,30 +1,36 @@
-"""Diagonal metrics g = a1^2 dx1^2 + ... + a4^2 dx4^2 as symbolic scale
+"""Diagonal metrics g = a1^2 dx1^2 + ... + a4^2 dx4^2 given by scale
 functions, with curvature in the associated orthonormal frame and an
 independent coordinate-Christoffel route for verification.
 
 The associated frame is e_i = (1/a_i) d/dx_i.  Frame derivatives
-e_i(f) = (1/a_i) df/dx_i are expanded symbolically before any number is
-produced, so the second derivatives entering the curvature formulas carry
-no finite-difference error and the two curvature routes can be compared
-at the 1e-8 level.
+e_i(f) = (1/a_i) df/dx_i are exact derivatives on curv4's expression tree
+(:mod:`curv4.expr`), taken before any number is produced, so the second
+derivatives entering the curvature formulas carry no finite-difference error
+and the two curvature routes can be compared at the 1e-8 level.
 
 Scale functions live on the closed node set {constant, variable, +, *,
 integer power, exp, reciprocal, square root}; exact differentiation stays
 inside the set (derivatives of square roots only introduce half-integer
-powers, i.e. compositions of sqrt and reciprocal).
+powers, i.e. compositions of sqrt and reciprocal).  Each route is one
+evaluator generated from the tree, built once per route and metric.
 
-sympy is imported the first time a scale function is parsed, differentiated
-or compiled, so the operator commands, which build no metric, never load it.
+sympy serves only :func:`christoffel_oracle`, which converts the scale trees
+to sympy and lambdifies its own route, so the two curvature routes share only
+the parser.  It is imported the first time the oracle runs: every other
+route, and every command but ``metric-curvature``, never loads it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
+from . import expr
 from .bivectors import DEFAULT_TOLERANCE, LEX_PAIRS, _real_array
 from .kahler import unit_triple
 from .operators import CurvatureOperator
@@ -32,14 +38,6 @@ from .operators import CurvatureOperator
 _COORD_NAMES = ("x1", "x2", "x3", "x4")
 
 MIN_SCALE = 1e-12
-
-
-@lru_cache(maxsize=None)
-def _coords():
-    """The sympy symbols x1..x4, built on first use."""
-    import sympy as sp
-
-    return sp.symbols(_COORD_NAMES)
 
 
 class ParseError(ValueError):
@@ -141,18 +139,16 @@ class _Parser:
             if kind != "number" or not text.isdigit():
                 raise ParseError("exponent must be an integer literal", pos)
             self._next()
-            base = base ** (sign * int(text))
+            base = expr.power(base, sign * int(text))
         return base
 
     def atom(self):
-        import sympy as sp
-
         kind, text, pos = self._next()
         if kind == "number":
-            return sp.Rational(text)
+            return expr.const(Fraction(text))
         if kind == "name":
             if text in _COORD_NAMES:
-                return _coords()[_COORD_NAMES.index(text)]
+                return expr.var(_COORD_NAMES.index(text))
             if text in ("exp", "sqrt"):
                 kind2, text2, pos2 = self._next()
                 if not (kind2 == "op" and text2 == "("):
@@ -161,7 +157,7 @@ class _Parser:
                 kind3, text3, pos3 = self._next()
                 if not (kind3 == "op" and text3 == ")"):
                     raise ParseError("missing closing parenthesis", pos3)
-                return sp.exp(arg) if text == "exp" else sp.sqrt(arg)
+                return expr.exp(arg) if text == "exp" else expr.power(arg, Fraction(1, 2))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
             inner = self.expression()
@@ -175,25 +171,15 @@ class _Parser:
 
 
 def parse_expression(text):
-    """The sympy expression of a string in the documented grammar, validated."""
+    """The expression tree of a string in the documented grammar.
+
+    A constant square root of a negative number, a quarter power (a square
+    root of a square root) and a division by the constant zero raise
+    ValueError("unsupported ...").
+    """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
-    expr = _Parser(text).parse()
-    _validate_expr(expr)
-    return expr
-
-
-def _validate_expr(expr):
-    # the parser builds no symbol but x1..x4, so every Symbol is a coordinate
-    import sympy as sp
-
-    for node in sp.preorder_traversal(expr):
-        if isinstance(node, sp.Pow):
-            exponent = node.exp
-            if not (exponent.is_Rational and exponent.q in (1, 2)):
-                raise ValueError(f"unsupported exponent {exponent}")
-        elif not isinstance(node, (sp.Symbol, sp.Number, sp.NumberSymbol, sp.Add, sp.Mul, sp.exp)):
-            raise ValueError(f"unsupported node {type(node).__name__}")
+    return _Parser(text).parse()
 
 
 def _check_point(point):
@@ -232,7 +218,7 @@ class DiagonalMetric:
     def scale_values(self, point):
         """Values of a1..a4 at the point; rejects nonpositive scales."""
         point = _check_point(point)
-        vals = _evaluate(point, "scale functions", _column, self.key)
+        vals = _evaluate(point, "scale functions", _compiled(_fields_only, self.key))
         return _positive(vals.reshape(4), point)
 
     def __repr__(self):
@@ -270,29 +256,34 @@ class JField:
 
     def values(self, point):
         point = _check_point(point)
-        vals = _evaluate(point, "structure coefficients", _column, self.key)
+        vals = _evaluate(point, "structure coefficients", _compiled(_fields_only, self.key))
         return _unit(vals.reshape(3), point)
 
 
-def _column(exprs):
-    """Expressions as one column matrix, compiled in one lambdify."""
-    import sympy as sp
-
-    return sp.Matrix(exprs)
+def _fields_only(*keys):
+    """No entries beyond the fields of keys themselves."""
+    return ()
 
 
-def _inputs_first(build, *keys):
+def _route(build, *keys):
     """The expressions of keys (the scales, then any structure coefficients)
-    followed by the entries of build(*keys), as one column: a route's single
-    compiled call returns the values its domain rules check."""
-    return _column([*(expr for key in keys for expr in key), *build(*keys)])
+    followed by the entries of build(*keys): a route's single compiled call
+    returns the values its domain rules check."""
+    return (*chain.from_iterable(keys), *build(*keys))
 
 
 @lru_cache(maxsize=None)
-def _compiled(build, keys):
-    """Numeric evaluator of the expressions build(*keys), one lambdify per
-    (builder, keys); a tuple of fields compiles through build = _column, a
-    route through build = _inputs_first.
+def _compiled(build, *keys):
+    """The generated evaluator of the trees _route(build, *keys), once per
+    (build, keys); build = _fields_only evaluates the fields alone."""
+    return expr.evaluator(_route(build, *keys), _COORD_NAMES)
+
+
+@lru_cache(maxsize=None)
+def _lambdified(build, *keys):
+    """The sympy twin of :func:`_compiled`, for the oracle alone: the keys
+    are converted to sympy, build(*keys) is built there, and the column is
+    lambdified once per (build, keys).
 
     The printer is the one lambdify builds for "numpy", with the same
     settings, so the generated source is the same.  The namespace starts
@@ -304,6 +295,8 @@ def _compiled(build, keys):
     import sympy as sp
     from sympy.printing.numpy import NumPyPrinter
 
+    coords = sp.symbols(_COORD_NAMES)
+    keys = tuple(tuple(expr.to_sympy(tree, coords) for tree in key) for key in keys)
     printer = NumPyPrinter({
         "fully_qualified_modules": False,
         "inline": True,
@@ -311,13 +304,13 @@ def _compiled(build, keys):
         "user_functions": {},
     })
     return sp.lambdify(
-        _coords(), build(*keys), modules=[{}], printer=printer,
+        coords, sp.Matrix(_route(build, *keys)), modules=[{}], printer=printer,
         use_imps=False, docstring_limit=0,
     )
 
 
-def _evaluate(point, what, build, *keys):
-    """The compiled build(*keys) at a checked point, as a float array.
+def _evaluate(point, what, compiled):
+    """The values of a compiled evaluator at a checked point, as a float array.
 
     The one place that decides a point lies outside the metric's domain: a
     value that divides by zero or overflows there, in the compiled code or
@@ -325,7 +318,7 @@ def _evaluate(point, what, build, *keys):
     not real; a NaN or infinite value is not finite.
     """
     try:
-        vals = np.asarray(_compiled(build, keys)(*point))
+        vals = np.asarray(compiled(*point))
         if vals.dtype.kind == "O":
             # Python ints beyond int64 leave an object array; converting it
             # through complex keeps a complex entry beside them visible below
@@ -346,9 +339,10 @@ def _evaluate(point, what, build, *keys):
     return vals
 
 
-def _at(metric, point, what, build, j_field=None):
+def _at(metric, point, what, build, j_field=None, compiler=_compiled):
     """The entries of build, flattened, at a point where the metric's scales
-    are positive and j_field, if given, has unit norm.
+    are positive and j_field, if given, has unit norm; compiler is
+    :func:`_compiled`, or :func:`_lambdified` for the oracle.
 
     One compiled call returns the scales, the structure coefficients and the
     entries, and the rules apply to the values from that call.  When the call
@@ -359,7 +353,7 @@ def _at(metric, point, what, build, j_field=None):
     point = _check_point(point)
     keys = (metric.key,) if j_field is None else (metric.key, j_field.key)
     try:
-        vals = _evaluate(point, what, _inputs_first, build, *keys).reshape(-1)
+        vals = _evaluate(point, what, compiler(build, *keys)).reshape(-1)
     except (MetricDomainError, RuntimeWarning):
         # a RuntimeWarning is numpy's, raised only under an "error" filter
         if j_field is not None:
@@ -375,10 +369,10 @@ def _at(metric, point, what, build, j_field=None):
 
 
 @lru_cache(maxsize=None)
-def _fd(a, expr, i):
-    """Frame derivative e_i(expr) = (1/a_i) d expr / dx_i, symbolically, built
+def _fd(a, f, i):
+    """Frame derivative e_i(f) = (1/a_i) df/dx_i, exactly on the tree, built
     once per (scales, expression, direction)."""
-    return expr.diff(_coords()[i - 1]) / a[i - 1]
+    return f.diff(i - 1) / a[i - 1]
 
 
 def _gamma_exprs(key):
@@ -388,11 +382,8 @@ def _gamma_exprs(key):
     the diagonal entries spread over the other directions with the opposite
     sign, which makes the table skew in its last two slots.
     """
-    import sympy as sp
-
     a = key
-    zero = sp.Integer(0)
-    gamma = [[[zero for _ in range(5)] for _ in range(5)] for _ in range(5)]
+    gamma = [[[expr.ZERO for _ in range(5)] for _ in range(5)] for _ in range(5)]
     for i in range(1, 5):
         for j in range(1, 5):
             if i == j:
@@ -402,7 +393,7 @@ def _gamma_exprs(key):
             else:
                 gamma[i][j][i] = _fd(a, a[i - 1], j) / a[i - 1]
     r = range(1, 5)
-    return sp.Matrix([gamma[i][j][k] for i in r for j in r for k in r])
+    return tuple(gamma[i][j][k] for i in r for j in r for k in r)
 
 
 def connection_coeffs(metric: DiagonalMetric, point):
@@ -418,8 +409,6 @@ def _frame_curvature_exprs(key):
     Pair symmetry R_ijkl = R_klij is *not* imposed here; it holds as an
     identity of the formulas and is checked numerically downstream.
     """
-    import sympy as sp
-
     a = key
     E = partial(_fd, key)
 
@@ -448,7 +437,7 @@ def _frame_curvature_exprs(key):
         if (i, j) == (k, l):
             return diag(i, j)
         if not ({i, j} & {k, l}):
-            return sp.Integer(0)
+            return expr.ZERO
         if k == i:
             return edge(i, j, l)
         if k == j:
@@ -459,10 +448,7 @@ def _frame_curvature_exprs(key):
             return -hess(j, i, k)
         raise AssertionError("unreachable index pattern")
 
-    rows = []
-    for (k, l) in LEX_PAIRS:
-        rows.append([comp(i, j, k, l) for (i, j) in LEX_PAIRS])
-    return sp.ImmutableMatrix(rows)
+    return tuple(comp(i, j, k, l) for (k, l) in LEX_PAIRS for (i, j) in LEX_PAIRS)
 
 
 def frame_curvature_raw(metric: DiagonalMetric, point):
@@ -502,13 +488,14 @@ def curvature_at(metric: DiagonalMetric, point):
 
 
 def _coordinate_curvature_exprs(key):
-    """Independent route: coordinate Christoffel symbols of g = diag(a_i^2),
-    the coordinate curvature tensor, conversion to the associated frame, and
-    the sign flip into the convention where R_ijij is sectional curvature."""
+    """Independent route, in sympy: coordinate Christoffel symbols of
+    g = diag(a_i^2) for the scales key converted to sympy, the coordinate
+    curvature tensor, conversion to the associated frame, and the sign flip
+    into the convention where R_ijij is sectional curvature."""
     import sympy as sp
 
     a = list(key)
-    x = _coords()
+    x = sp.symbols(_COORD_NAMES)
     g = [ai**2 for ai in a]
     ginv = [1 / gi for gi in g]
 
@@ -546,16 +533,17 @@ def _coordinate_curvature_exprs(key):
 def christoffel_oracle(metric: DiagonalMetric, point):
     """Curvature operator computed through coordinate Christoffel symbols.
 
-    Used only to verify :func:`curvature_at`; the two routes share nothing
-    beyond exact symbolic differentiation of the scale functions.
+    Used only to verify :func:`curvature_at`; the two routes share only the
+    parser: this one differentiates the scale functions in sympy.
     """
-    raw = _at(metric, point, "oracle curvature components", _coordinate_curvature_exprs)
+    raw = _at(
+        metric, point, "oracle curvature components", _coordinate_curvature_exprs,
+        compiler=_lambdified,
+    )
     return _curvature_operator(raw.reshape(6, 6), point)
 
 
 def _nabla_j_exprs(metric_key, j_key):
-    import sympy as sp
-
     a = metric_key
     j12, j13, j14 = j_key
     E = partial(_fd, metric_key)
@@ -573,7 +561,7 @@ def _nabla_j_exprs(metric_key, j_key):
         a[3] * E(j13, 4) - (j14 * E(a[3], 3) - j12 * E(a[3], 1)),
         a[3] * E(j14, 4) - (-j12 * E(a[3], 2) - j13 * E(a[3], 3)),
     ]
-    return sp.ImmutableMatrix(lines)
+    return tuple(lines)
 
 
 def nabla_J_residuals(metric: DiagonalMetric, j_field: JField, point):
@@ -592,10 +580,10 @@ _CROSS_LABELS = (
 
 def _cross_derivative_exprs(key):
     a = key
-    return _column([
+    return (
         _fd(a, a[0], 3), _fd(a, a[0], 4), _fd(a, a[1], 3), _fd(a, a[1], 4),
         _fd(a, a[2], 1), _fd(a, a[2], 2), _fd(a, a[3], 1), _fd(a, a[3], 2),
-    ])
+    )
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,14 @@ def test_frame_rotation_validation():
         FrameRotation(SWAP_E3_E4)
 
 
+@pytest.mark.parametrize("entry", [1e200, -1e155, 2.5])
+def test_frame_rotation_refuses_large_entries_before_they_overflow(entry):
+    # under the suite's error::RuntimeWarning filter, forming q^T q for 1e200
+    # or 1e155 would raise numpy's overflow warning in place of the frame rule
+    with pytest.raises(ValueError, match="^matrix is not orthogonal"):
+        FrameRotation(np.full((4, 4), entry))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, True, "1", 1 + 0j])
 def test_frame_rotation_rejects_non_finite_entries(value):
     # numpy would read True, "1" and 1+0j as 1.0, which leaves the identity

@@ -777,6 +777,32 @@ def test_cli_fuzz_documents_end_in_contract_exit_codes(invocation):
         assert _run_main(argv) == first
 
 
+# the Kaehler builders with the near-orthogonal frames of _MATRIX4, a pairing
+# the fuzz above never draws: at a looser frame rule these frames passed, and
+# kahler-check then crashed on the Kaehler operator
+_KAEHLER_BUILDER_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"builder": st.just("const-hol-sec"), "params": st.lists(_NUMBER, min_size=1, max_size=1)}
+    ),
+    st.fixed_dictionaries(
+        {"builder": st.just("surface-product"), "params": st.lists(_NUMBER, min_size=2, max_size=2)}
+    ),
+)
+_NEAR_ORTHOGONAL = st.sampled_from([_moved(_CP2, 0, 1, 4e-10), _moved(_CP2, 0, 1, 1e-11)])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_KAEHLER_BUILDER_DOC, _NEAR_ORTHOGONAL)
+def test_cli_fuzz_kahler_check_on_kaehler_builders_in_near_orthogonal_frames(doc, frame):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, frame_path = Path(tmp) / "input.json", Path(tmp) / "frame.json"
+        path.write_text(json.dumps(doc))
+        frame_path.write_text(json.dumps({"Q": frame}))
+        code, out, err = _run_main(["kahler-check", "--input", str(path), "--frame", str(frame_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "matrix is not orthogonal" in err
+
+
 # --- results that are not finite ------------------------------------------------
 
 
@@ -966,6 +992,58 @@ def test_operator_commands_never_import_sympy():
     # import either; numpy 1 imports numpy.ma with numpy itself)
     assert seen["extras_after_metric"] == seen["extras_at_import"]
     assert (seen["metric_code"], seen["metric_out"], "") == _run_main(metric_argv)
+
+
+# every metric command but metric-curvature, and every metric route but the
+# oracle, runs on the expression tree alone
+_TREE_ONLY_ARGV = [
+    resolve(args)
+    for args, _ in COMMAND_TABLE
+    if args[:2] == ["theorem", "unitary-product"] or "bad_syntax_metric.json" in args
+]
+_TREE_PROBE = """
+import contextlib, io, json, sys
+import curv4
+from curv4.cli import main
+seen = {"commands": [], "routes": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen["commands"].append([code, "sympy" in sys.modules])
+with open(sys.argv[2], encoding="utf-8") as handle:
+    metric, j_field = curv4.metric_from_dict(json.load(handle))
+point = (0.1, 0.2, -0.1, 0.05)
+for name in ("curvature_at", "frame_curvature_raw", "connection_coeffs", "unitary_product_check"):
+    getattr(curv4, name)(metric, point)
+    seen["routes"].append([name, "sympy" in sys.modules])
+curv4.nabla_J_residuals(metric, j_field, point)
+seen["routes"].append(["nabla_J_residuals", "sympy" in sys.modules])
+curv4.christoffel_oracle(metric, point)
+seen["oracle"] = "sympy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_oracle_imports_sympy():
+    # a fresh interpreter: both documented unitary-product commands, the syntax
+    # error and five library routes load no sympy; the oracle does
+    assert len(_TREE_ONLY_ARGV) == 3
+    proc = subprocess.run(
+        [sys.executable, "-c", _TREE_PROBE, json.dumps(_TREE_ONLY_ARGV),
+         str(SAMPLE_DIR / "product_metric.json")],
+        capture_output=True, text=True, env=_source_env(), cwd=REPO_ROOT, timeout=120,
+        check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    expected = [code for args, code in COMMAND_TABLE if resolve(args) in _TREE_ONLY_ARGV]
+    assert seen["commands"] == [[code, False] for code in expected] == [[0, False], [1, False], [2, False]]
+    assert seen["routes"] == [
+        [name, False] for name in (
+            "curvature_at", "frame_curvature_raw", "connection_coeffs", "unitary_product_check",
+            "nabla_J_residuals",
+        )
+    ]
+    assert seen["oracle"] is True
 
 
 # --- the README's library example runs as printed ---------------------------------

@@ -22,22 +22,16 @@ from curv4 import (
     unitary_product_check,
 )
 import curv4.metrics
-from curv4.metrics import (
-    _column,
-    _compiled,
-    _coordinate_curvature_exprs,
-    _coords,
-    _cross_derivative_exprs,
-    _frame_curvature_exprs,
-    _gamma_exprs,
-    _inputs_first,
-    _nabla_j_exprs,
-    _validate_expr,
-    parse_expression,
-)
+from curv4.expr import to_sympy
+from curv4.metrics import _coordinate_curvature_exprs, _lambdified, parse_expression
 
-COORDS = sp.symbols("x1:5")  # equal to the symbols the parser builds
+COORDS = sp.symbols("x1:5")  # the oracle's symbols
 X1, X2, X3, X4 = COORDS
+
+
+def parsed(text):
+    """The parsed tree of text, through its sympy conversion."""
+    return to_sympy(parse_expression(text), COORDS)
 
 SPHERE = "1/(1 + (x1^2 + x2^2 + x3^2 + x4^2)/4)"
 PRODUCT_SCALES = (
@@ -72,17 +66,17 @@ def random_point(rng):
 # --- parser and fields --------------------------------------------------------
 
 def test_parser_numbers_and_precedence():
-    assert parse_expression("1 + 2*x1^2") == 1 + 2 * X1**2
-    assert parse_expression("x1 - x2 - x3") == X1 - X2 - X3
-    assert parse_expression("2*x1/x2") == 2 * X1 / X2
-    assert parse_expression("-x1^2") == -(X1**2)
-    assert parse_expression("x1^-2") == X1 ** (-2)
-    assert parse_expression("0.25") == sp.Rational(1, 4)
+    assert parsed("1 + 2*x1^2") == 1 + 2 * X1**2
+    assert parsed("x1 - x2 - x3") == X1 - X2 - X3
+    assert parsed("2*x1/x2") == 2 * X1 / X2
+    assert parsed("-x1^2") == -(X1**2)
+    assert parsed("x1^-2") == X1 ** (-2)
+    assert parsed("0.25") == sp.Rational(1, 4)
 
 
 def test_parser_functions():
-    assert parse_expression("exp(x2)") == sp.exp(X2)
-    assert parse_expression("sqrt(1 + x1^2)") == sp.sqrt(1 + X1**2)
+    assert parsed("exp(x2)") == sp.exp(X2)
+    assert parsed("sqrt(1 + x1^2)") == sp.sqrt(1 + X1**2)
 
 
 @pytest.mark.parametrize(
@@ -105,10 +99,22 @@ def test_parser_reports_positions(text, column):
     assert f"column {column}" in str(err.value)
 
 
+def _assert_in_node_set(expr):
+    # constants, coordinates, sums, products, exp, and powers with an integer
+    # or half-integer exponent
+    for node in sp.preorder_traversal(expr):
+        if isinstance(node, sp.Pow):
+            assert node.exp.is_Rational and node.exp.q in (1, 2), node
+        else:
+            assert isinstance(node, (sp.Symbol, sp.Number, sp.NumberSymbol, sp.Add, sp.Mul, sp.exp)), node
+
+
 def test_scalar_field_node_set_closed_under_diff():
-    expr = parse_expression("sqrt(1 + x1^2) * exp(x2) / x3")
-    for x in COORDS:
-        _validate_expr(expr.diff(x))
+    tree = parse_expression("sqrt(1 + x1^2) * exp(x2) / x3")
+    for i, x in enumerate(COORDS):
+        derivative = to_sympy(tree.diff(i), COORDS)
+        _assert_in_node_set(derivative)
+        assert sp.simplify(derivative - sp.diff(to_sympy(tree, COORDS), x)) == 0
     # sqrt(-1) is the imaginary unit; sqrt(sqrt(x1)) has exponent 1/4
     for text in ("sqrt(0-1)", "sqrt(sqrt(x1))"):
         with pytest.raises(ValueError, match="unsupported"):
@@ -449,36 +455,21 @@ _METRIC_SAMPLES = sorted(
 )
 
 
-def _builds(metric, j_field):
-    """Every (builder, keys) a metric and its structure field compile: each
-    field column alone, and each route behind the fields it checks."""
-    routes = (
-        _frame_curvature_exprs, _coordinate_curvature_exprs, _cross_derivative_exprs, _gamma_exprs,
-    )
-    builds = [(_column, (metric.key,))]
-    builds += [(_inputs_first, (route, metric.key)) for route in routes]
-    if j_field is not None:
-        builds += [
-            (_column, (j_field.key,)),
-            (_inputs_first, (_nabla_j_exprs, metric.key, j_field.key)),
-        ]
-    return builds
-
-
 @pytest.mark.parametrize("sample", _METRIC_SAMPLES)
 def test_compiled_matches_stock_numpy_lambdify(sample, rng):
-    # the trimmed namespace changes which modules load, not a character of the
-    # generated code nor a bit of what it returns
+    # only the oracle is still lambdified; its trimmed namespace changes which
+    # modules load, not a character of the generated code nor a bit of what it
+    # returns
     assert len(_METRIC_SAMPLES) == 4
     with open(SAMPLE_DIR / sample, encoding="utf-8") as handle:
-        metric, j_field = metric_from_dict(json.load(handle))
+        metric, _ = metric_from_dict(json.load(handle))
     points = [random_point(rng) for _ in range(20)]
     for point in points:
         metric.scale_values(point)  # in the domain of every sample
-    for build, keys in _builds(metric, j_field):
-        ours = _compiled(build, keys)
-        stock = sp.lambdify(_coords(), build(*keys), "numpy")
-        assert inspect.getsource(ours) == inspect.getsource(stock)
-        for point in points:
-            got, want = np.asarray(ours(*point)), np.asarray(stock(*point))
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    ours = _lambdified(_coordinate_curvature_exprs, metric.key)
+    scales = tuple(to_sympy(tree, COORDS) for tree in metric.key)
+    stock = sp.lambdify(COORDS, sp.Matrix([*scales, *_coordinate_curvature_exprs(scales)]), "numpy")
+    assert inspect.getsource(ours) == inspect.getsource(stock)
+    for point in points:
+        got, want = np.asarray(ours(*point)), np.asarray(stock(*point))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
