@@ -21,8 +21,13 @@ once by a generated evaluator.  Five kinds are kept in canonical form:
   (such as sqrt(sqrt(x))) is a quarter power and is refused.
 
 Terms and factors are ordered by their node's hash, which is built from
-integers and Fractions only, so the order, and the generated source with it,
-is the same in every process and under every hash seed.
+integers and Fractions only, and where two hashes are equal, by the node's
+structure, so the order, and the generated source with it, is the same in
+every process, under every hash seed and whatever was built before.
+
+A division by the constant zero raises ZeroDivisionError while the tree is
+built: the parser refuses it, and a route built on a scale that is the
+constant zero leaves it to the scale rule.
 
 :func:`evaluator` turns a list of trees into one Python function of x1..x4
 that returns their values as one array, each node kind printed the way
@@ -31,13 +36,12 @@ sympy's NumPy printer prints it: Python ints, ``p/q`` for rationals,
 +-1/2, Python ``b**(k/2)`` for other half-integer powers, numpy ``exp``, and
 division for the negative powers inside a product.  A Python float therefore
 raises on a division by zero and turns complex on a negative base where the
-sympy-generated code did.
+sympy-generated code did.  The same printer gives ``str(node)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import isqrt
 
 import numpy as np
@@ -48,21 +52,29 @@ _CONST, _VAR, _EXP, _ADD, _MUL = range(5)
 # trees built for any metric are one node and share their derivatives; like
 # the caches of compiled routes, it only grows.
 _TABLE = {}
-_SERIAL = count()
 _F0, _F1, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
 
 class Node:
     """One interned expression; compare nodes with ``is``."""
 
-    __slots__ = ("kind", "args", "variables", "_hash", "_serial", "_diffs")
+    __slots__ = ("kind", "args", "variables", "_hash", "_sort_key", "_diffs")
 
     def __init__(self, kind, args, key_hash, variables):
         self.kind = kind
         self.args = args
         self.variables = variables  # bit i set when the node depends on x_{i+1}
         self._hash = key_hash
-        self._serial = next(_SERIAL)
+        # the hash, then the structure with each node replaced by its own
+        # structure; the tuples compare past the hash only where hashes are equal
+        # (hash(Fraction(-1)) == hash(Fraction(-2)), for one)
+        if kind == _EXP:
+            structure = args._sort_key
+        elif kind in (_ADD, _MUL):
+            structure = (args[0], tuple((n._sort_key, c) for n, c in args[1]))
+        else:
+            structure = args
+        self._sort_key = (key_hash, kind, structure)
         self._diffs = [None] * 4
 
     def __hash__(self):
@@ -93,7 +105,7 @@ class Node:
         return d
 
     def __str__(self):
-        return _text(self)
+        return _Printer(("x1", "x2", "x3", "x4")).code(self)[0]
 
     __repr__ = __str__
 
@@ -107,7 +119,7 @@ def _node(kind, args, variables):
 
 
 def _order(item):
-    return item[0]._hash, item[0]._serial
+    return item[0]._sort_key
 
 
 def const(value):
@@ -203,7 +215,7 @@ def _product(items):
             value = node.args
             if not value:
                 if e < 0:
-                    raise ValueError("unsupported division by zero")
+                    raise ZeroDivisionError("division by zero")
                 zero = True
             elif e.denominator == 1:
                 coeff *= value ** e
@@ -311,55 +323,6 @@ def to_sympy(node, symbols):
     return convert(node)
 
 
-def _text(node):
-    """The node in the input grammar; parsing the text returns the node."""
-    kind, args = node.kind, node.args
-    if kind == _CONST:
-        return str(args)
-    if kind == _VAR:
-        return f"x{args + 1}"
-    if kind == _EXP:
-        return f"exp({_text(args)})"
-    if kind == _MUL:
-        return _product_text(*args)
-    parts = [(c, _product_text(abs(c), _factors(t))) for t, c in args[1]]
-    if args[0]:
-        parts.append((args[0], str(abs(args[0]))))
-    c, first = parts[0]
-    if c < 0:
-        # a unary minus before a parenthesized sum would be distributed
-        first = f"-({first})" if first.startswith("(") else "-" + first
-    return first + "".join((" - " if c < 0 else " + ") + text for c, text in parts[1:])
-
-
-def _product_text(c, factors):
-    def factor(b, e):
-        inner = _text(b)
-        if e.denominator == 2:
-            root = f"sqrt({inner})"
-            return root if e == _HALF else f"{root}^{e.numerator}"
-        if b.kind == _ADD:
-            inner = f"({inner})"
-        return inner if e == 1 else f"{inner}^{e.numerator}"
-
-    # sums last: a coefficient times a leading sum would be distributed on parsing
-    num = sorted(((b, e) for b, e in factors if e > 0), key=lambda f: f[0].kind == _ADD)
-    parts = [factor(b, e) for b, e in num]
-    tail = ""
-    if c != 1:
-        if num and num[0][0].kind == _ADD and num[0][1] == 1:
-            tail = f"*({c})" if c < 0 else f"*{c}"
-        elif c == -1 and parts:
-            parts[0] = "-" + parts[0]
-        else:
-            parts.insert(0, str(c))
-    text = "*".join(parts) or "1"
-    den = [factor(b, -e) for b, e in factors if e < 0]
-    if den:
-        text += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
-    return text + tail
-
-
 # --- generated evaluators --------------------------------------------------------
 
 _ATOM, _POW, _MULP, _ADDP = 4, 3, 2, 1
@@ -374,12 +337,11 @@ class _Printer:
         self.names = names
         self.temps = {}
         self.lines = []
-        self.constants = {}  # long ints go through the namespace, never through str()
 
-    def int_code(self, n):
-        if n.bit_length() <= 64:
-            return str(n)
-        return self.constants.setdefault(n, f"c{len(self.constants)}")
+    @staticmethod
+    def int_code(n):
+        # str() refuses ints beyond 4300 digits (about 14000 bits), hex() never
+        return str(n) if n.bit_length() <= 10000 else hex(n)
 
     def const_code(self, v):
         sign = "-" if v < 0 else ""
@@ -486,17 +448,13 @@ class _Printer:
 
 
 def generate(trees, names):
-    """The Python source of the evaluator of trees, and the long integer
-    constants it reads from its namespace."""
-    printer = _Printer(names)
-    text = printer.source(trees)
-    return text, {name: value for value, name in printer.constants.items()}
+    """The Python source of the evaluator of trees."""
+    return _Printer(names).source(trees)
 
 
 def evaluator(trees, names):
     """One compiled function of the coordinates names returning the values of
     trees as one array."""
-    text, constants = generate(trees, names)
-    namespace = dict(_NAMESPACE, **constants)
-    exec(compile(text, "<curv4 evaluator>", "exec"), namespace)
+    namespace = dict(_NAMESPACE)
+    exec(compile(generate(trees, names), "<curv4 evaluator>", "exec"), namespace)
     return namespace["_generated"]

@@ -179,7 +179,10 @@ def parse_expression(text):
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except ZeroDivisionError as err:
+        raise ValueError("unsupported division by zero") from err
 
 
 def _check_point(point):
@@ -354,8 +357,10 @@ def _at(metric, point, what, build, j_field=None, compiler=_compiled):
     keys = (metric.key,) if j_field is None else (metric.key, j_field.key)
     try:
         vals = _evaluate(point, what, compiler(build, *keys)).reshape(-1)
-    except (MetricDomainError, RuntimeWarning):
-        # a RuntimeWarning is numpy's, raised only under an "error" filter
+    except (MetricDomainError, RuntimeWarning, ZeroDivisionError):
+        # a RuntimeWarning is numpy's, raised only under an "error" filter; a
+        # ZeroDivisionError is the tree's, building a route that divides by a
+        # scale that is the constant zero, which the scale rule then refuses
         if j_field is not None:
             j_field.values(point)
         metric.scale_values(point)

@@ -714,7 +714,7 @@ _OPERATOR_DOC = _spoiled(st.one_of(
 # positive scales; a1 may also vanish or be undefined somewhere, or not parse
 _SCALE = st.sampled_from(["1", "2", "exp(x2)", "1+x3^2", "exp(x1*x4)"])
 _A1 = _SCALE | st.sampled_from(
-    ["x1", "1/x1", "sqrt(x4)", "x1^100000000", "10^400", "sqrt(x1)^3", "1+", "y"]
+    ["x1", "1/x1", "sqrt(x4)", "x1^100000000", "10^400", "sqrt(x1)^3", "0", "1+", "y"]
 )
 _METRIC_DOC = _spoiled(st.fixed_dictionaries(
     {"a1": _A1, "a2": _SCALE, "a3": _SCALE, "a4": _SCALE},

@@ -1,6 +1,6 @@
 """The expression tree against its second route, sympy: values and domain
-errors of the generated evaluators, exact derivatives, the grammar printer,
-and generated source that does not depend on the hash seed."""
+errors of the generated evaluators, exact derivatives, and generated source
+that depends neither on the hash seed nor on what was built before."""
 
 import json
 import os
@@ -107,7 +107,6 @@ def test_random_expressions_agree_with_sympy(text, points):
     except ValueError as err:
         assert str(err).startswith("unsupported"), (text, err)
         return
-    assert parse_expression(str(tree)) is tree  # the grammar printer round-trips
     _agree(text, [*_EDGE_POINTS, *points])
 
 
@@ -116,10 +115,12 @@ import json, sys
 from curv4.expr import generate
 from curv4.metrics import (
     _COORD_NAMES, _cross_derivative_exprs, _fields_only, _frame_curvature_exprs, _gamma_exprs,
-    _nabla_j_exprs, _route, metric_from_dict,
+    _nabla_j_exprs, _route, metric_from_dict, parse_expression,
 )
-paths = json.loads(sys.argv[1])
-sources = {}
+paths, texts = json.loads(sys.argv[1])
+for text in texts:
+    parse_expression(text)
+sources = {"sum": generate([parse_expression(" + ".join(sorted(texts)))], _COORD_NAMES)}
 for path in paths:
     with open(path, encoding="utf-8") as handle:
         metric, j_field = metric_from_dict(json.load(handle))
@@ -127,21 +128,27 @@ for path in paths:
     routes += [(build, metric.key) for build in (_frame_curvature_exprs, _gamma_exprs, _cross_derivative_exprs)]
     if j_field is not None:
         routes += [(_fields_only, j_field.key), (_nabla_j_exprs, metric.key, j_field.key)]
-    sources[path] = [generate(_route(build, *keys), _COORD_NAMES)[0] for build, *keys in routes]
+    sources[path] = [generate(_route(build, *keys), _COORD_NAMES) for build, *keys in routes]
 print(json.dumps(sources, sort_keys=True))
 """
 
 
+# terms whose hashes are equal: hash(Fraction(-1)) == hash(Fraction(-2)) in
+# CPython, so -x1 and -2*x1, and the exponentials of them, tie on the hash
+_TIED = ["x3", "exp(-x1)", "exp(-2*x1)", "exp(-x1)*x2", "exp(-2*x1)*x2"]
+
+
 def test_generated_source_is_the_same_under_every_hash_seed():
-    # two fresh interpreters that build the samples in opposite orders: term
-    # and factor order follow the structure, not id() or a string hash
+    # two fresh interpreters that build the samples, and terms tied on the
+    # hash, in opposite orders: term and factor order follow the structure,
+    # not id(), a string hash or the order of creation
     paths = sorted(
         str(path) for path in SAMPLE_DIR.glob("*metric*.json")
         if path.name != "bad_syntax_metric.json"
     )
     assert len(paths) == 4
     outputs = []
-    for seed, order in (("0", paths), ("1", paths[::-1])):
+    for seed, order in (("0", [paths, _TIED]), ("1", [paths[::-1], _TIED[::-1]])):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
         proc = subprocess.run(
@@ -150,4 +157,5 @@ def test_generated_source_is_the_same_under_every_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert sum(len(routes) for routes in json.loads(outputs[0]).values()) == 4 * 4 + 2
+    sources = json.loads(outputs[0])
+    assert sum(len(sources[path]) for path in paths) == 4 * 4 + 2

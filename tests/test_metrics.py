@@ -403,6 +403,10 @@ _ZERO_SCALES = [
     pytest.param(("sqrt(x1+x2+x3+x4)", "1", "1+x1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="numpy-warns"),
     # negative, so every entry is finite
     pytest.param(("x1+x2+x3+x4-1", "1", "1+x1", "1"), "[-1.0, 1.0, 1.0, 1.0]", id="negative"),
+    # the constant zero: the primary routes divide the tree by it as they are
+    # built, the oracle's sympy route gives a non-finite value
+    pytest.param(("0", "1", "1+x1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="constant-zero"),
+    pytest.param(("x1-x1", "1", "1+x1", "1"), "[0.0, 1.0, 1.0, 1.0]", id="cancels-to-zero"),
 ]
 
 
