@@ -37,6 +37,14 @@ sympy's NumPy printer prints it: Python ints, ``p/q`` for rationals,
 division for the negative powers inside a product.  A Python float therefore
 raises on a division by zero and turns complex on a negative base where the
 sympy-generated code did.  The same printer gives ``str(node)``.
+
+:func:`jets` gives a second way to derivatives, for the metric oracle: the
+value and the first and second partial derivatives of each node, from one
+rule per node kind, as :class:`Code` values, arithmetic that the same
+printer prints as written, never simplified.  A node's value is the node
+itself and each power b^m a rule needs is printed as a one-factor product,
+so every value keeps the evaluator's behaviour on Python floats.
+:class:`Jet` carries the arithmetic on such values up to second order.
 """
 
 from __future__ import annotations
@@ -291,47 +299,233 @@ def _derivative(node, i):
     return _sum(terms)
 
 
-# --- conversion and printing ----------------------------------------------------
+# --- Taylor jets ----------------------------------------------------------------
+
+_POWER, _PLUS, _MINUS, _TIMES, _DIVIDE, _NEGATE = range(5, 11)
 
 
-def to_sympy(node, symbols):
-    """The sympy expression of a tree, with x_{i+1} as symbols[i]."""
-    import sympy as sp
+class Code:
+    """A value of the generated code that is no tree node: b^m for a node b
+    and an integer or half-integer m, or -x, x + y, x - y, x * y or x / y of
+    nodes and Code values.  It is arithmetic to print, never simplified: only
+    a zero, a one and two constants fold."""
 
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind, args):
+        self.kind = kind
+        self.args = args
+
+
+def _constants(x, y):
+    return x.kind == _CONST and y.kind == _CONST
+
+
+def _plus(x, y):
+    if x is ZERO:
+        return y
+    if y is ZERO:
+        return x
+    return const(x.args + y.args) if _constants(x, y) else Code(_PLUS, (x, y))
+
+
+def _negate(x):
+    if x.kind == _CONST:
+        return const(-x.args)
+    return x.args[0] if x.kind == _NEGATE else Code(_NEGATE, (x,))
+
+
+def _minus(x, y):
+    if y is ZERO:
+        return x
+    if x is ZERO:
+        return _negate(y)
+    return const(x.args - y.args) if _constants(x, y) else Code(_MINUS, (x, y))
+
+
+def _times(x, y):
+    if x is ZERO or y is ZERO:
+        return ZERO
+    if x is ONE:
+        return y
+    if y is ONE:
+        return x
+    return const(x.args * y.args) if _constants(x, y) else Code(_TIMES, (x, y))
+
+
+def _divide(x, y):
+    # a constant zero divisor raises ZeroDivisionError here, as in the tree
+    if y is ONE:
+        return x
+    if x is ZERO:
+        return ZERO
+    return const(x.args / y.args) if _constants(x, y) else Code(_DIVIDE, (x, y))
+
+
+def _total(values):
+    out = ZERO
+    for value in values:
+        out = _plus(out, value)
+    return out
+
+
+# A jet's keys: () for the value, (i,) for d/dx_{i+1} and (i, j), i <= j, for
+# d2/dx_{i+1}dx_{j+1}; each key maps to the (ka, kb) pairs of the Leibniz rule
+# there, one per subset of its positions, with (key, ()) last.
+_SPLITS = {
+    key: tuple(
+        (tuple(key[p] for p in range(len(key)) if mask >> p & 1),
+         tuple(key[p] for p in range(len(key)) if not mask >> p & 1))
+        for mask in range(1 << len(key))
+    )
+    for key in ((), *((i,) for i in range(4)), *((i, j) for i in range(4) for j in range(i, 4)))
+}
+
+
+class Jet:
+    """A value and its partial derivatives up to second order, each a node or
+    a :class:`Code`, read as ``jet[key]`` (Griewank and Walther, *Evaluating
+    Derivatives*, ch. 13); an int or Fraction operand is a constant.  A
+    coefficient is built the first time it is read, so a route holds only the
+    coefficients its outputs reach, and the jet of a derivative, which
+    :meth:`diff` gives, is read to one order less."""
+
+    __slots__ = ("rule", "d")
+
+    def __init__(self, rule, d=None):
+        self.rule = rule
+        self.d = {} if d is None else d
+
+    def __getitem__(self, key):
+        c = self.d.get(key)
+        if c is None:
+            c = self.d[key] = self.rule(key)
+        return c
+
+    def __add__(self, other):
+        other = _jet(other)
+        return Jet(lambda key: _plus(self[key], other[key]))
+
+    def __sub__(self, other):
+        other = _jet(other)
+        return Jet(lambda key: _minus(self[key], other[key]))
+
+    def __neg__(self):
+        return Jet(lambda key: _negate(self[key]))
+
+    def __mul__(self, other):
+        other = _jet(other)
+        return Jet(lambda key: _total(_times(self[ka], other[kb]) for ka, kb in _SPLITS[key]))
+
+    def __truediv__(self, other):
+        other = _jet(other)
+
+        def rule(key):
+            # q * other = self, solved for q at key: the other Leibniz terms are known
+            known = (_times(q[ka], other[kb]) for ka, kb in _SPLITS[key][:-1])
+            return _divide(_minus(self[key], _total(known)), other[()])
+
+        q = Jet(rule)
+        return q
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return _jet(other) - self
+
+    def __rtruediv__(self, other):
+        return _jet(other) / self
+
+    def diff(self, i):
+        """The jet of d/dx_{i+1}."""
+        return Jet(lambda key: self[tuple(sorted((i, *key)))])
+
+
+def _jet(x):
+    """x as a jet: a constant when it is an int or Fraction."""
+    if isinstance(x, Jet):
+        return x
+    return Jet(lambda key: ZERO, {(): const(x)})
+
+
+def _chain(d1, d2, u, key):
+    """phi(u) at a derivative key, from phi' = d1 and phi'' = d2 at u's value."""
+    if len(key) == 1:
+        return _times(d1, u[key])
+    i, j = key
+    return _plus(_times(d1, u[key]), _times(d2, _times(u[(i,)], u[(j,)])))
+
+
+def jets(trees):
+    """The order-2 jets of trees, from one rule per node kind: linear for a
+    sum, the chain rule for exp(u) and for each factor b^e of a product, and
+    the Leibniz rule between the factors; never :meth:`Node.diff`.  A jet's
+    value is its node, printed as the evaluator prints it, and each power
+    b^m a rule needs is printed as a product of one factor.  A derivative in
+    a direction the node does not depend on is a structural zero, no code."""
     memo = {}
+    powers = {}
+    products = {}
 
-    def rational(v):
-        return sp.Rational(v.numerator, v.denominator)
-
-    def convert(n):
-        out = memo.get(n)
+    def power(b, m):
+        if m == 0:
+            return ONE
+        if m == 1:
+            return b
+        out = powers.get((b, m))
         if out is None:
-            kind, args = n.kind, n.args
-            if kind == _CONST:
-                out = rational(args)
-            elif kind == _VAR:
-                out = symbols[args]
-            elif kind == _EXP:
-                out = sp.exp(convert(args))
-            elif kind == _ADD:
-                out = sp.Add(rational(args[0]), *(rational(c) * convert(t) for t, c in args[1]))
-            else:
-                out = sp.Mul(rational(args[0]), *(sp.Pow(convert(b), rational(e)) for b, e in args[1]))
-            memo[n] = out
+            out = powers[b, m] = Code(_POWER, (b, m))
         return out
 
-    return convert(node)
+    def factor(b, e):
+        u = jet(b)
+        d1 = _times(const(e), power(b, e - 1))
+        d2 = _times(const(e * (e - 1)), power(b, e - 2))
+        return Jet(lambda key: _chain(d1, d2, u, key), {(): power(b, e)})
+
+    def product(node):
+        """The jet of a product node's factors, multiplied in their order."""
+        out = products.get(node)
+        if out is None:
+            fs = node.args[1]
+            out = factor(*fs[0])
+            for b, e in fs[1:]:
+                out = out * factor(b, e)
+            products[node] = out
+        return out
+
+    def derivative(node, key):
+        kind, args = node.kind, node.args
+        if kind == _CONST or not all(node.variables >> i & 1 for i in key):
+            return ZERO
+        if kind == _VAR:
+            return ONE if key == (args,) else ZERO
+        if kind == _EXP:
+            return _chain(node, node, jet(args), key)
+        if kind == _ADD:
+            return _total(_times(const(c), jet(t)[key]) for t, c in args[1])
+        return _times(const(args[0]), product(node)[key])
+
+    def jet(node):
+        out = memo.get(node)
+        if out is None:
+            out = memo[node] = Jet(lambda key: derivative(node, key), {(): node})
+        return out
+
+    return [jet(tree) for tree in trees]
 
 
 # --- generated evaluators --------------------------------------------------------
 
 _ATOM, _POW, _MULP, _ADDP = 4, 3, 2, 1
+_OPERATORS = {_PLUS: (" + ", _ADDP), _MINUS: (" - ", _ADDP), _TIMES: ("*", _MULP), _DIVIDE: ("/", _MULP)}
 _NAMESPACE = {"array": np.array, "sqrt": np.sqrt, "exp": np.exp}
 
 
 class _Printer:
-    """Python source for a list of trees: a node used more than once is
-    computed once, into a local, in the order the evaluation first needs it."""
+    """Python source for a list of trees and Code values: a node or Code used
+    more than once is computed once, into a local, in the order the
+    evaluation first needs it."""
 
     def __init__(self, names):
         self.names = names
@@ -367,6 +561,15 @@ class _Printer:
             return self.names[args], _ATOM
         if kind == _EXP:
             return f"exp({self.code(args)[0]})", _ATOM
+        if kind == _POWER:
+            return self.product_code(_F1, (args,))
+        if kind == _NEGATE:
+            return "-" + self.paren(args[0], _MULP), _MULP
+        if kind in _OPERATORS:
+            op, prec = _OPERATORS[kind]
+            # the right operand is bracketed at equal precedence, so the code
+            # computes exactly the Code's association
+            return self.paren(args[0], prec) + op + self.paren(args[1], prec + 1), prec
         if kind == _ADD:
             parts = []
             for t, c in args[1]:
@@ -433,12 +636,17 @@ class _Printer:
             elif kind == _MUL:
                 for b, _ in args[1]:
                     visit(b)
+            elif kind == _POWER:
+                visit(args[0])
+            elif kind > _POWER:
+                for x in args:
+                    visit(x)
             order.append(node)
 
         for tree in trees:
             visit(tree)
         for node in order:
-            if uses[node] > 1 and node.kind in (_EXP, _ADD, _MUL):
+            if uses[node] > 1 and node.kind not in (_CONST, _VAR):
                 text = self.code(node)[0]
                 self.temps[node] = name = f"t{len(self.temps)}"
                 self.lines.append(f"    {name} = {text}")

@@ -14,10 +14,10 @@ inside the set (derivatives of square roots only introduce half-integer
 powers, i.e. compositions of sqrt and reciprocal).  Each route is one
 evaluator generated from the tree, built once per route and metric.
 
-sympy serves only :func:`christoffel_oracle`, which converts the scale trees
-to sympy and lambdifies its own route, so the two curvature routes share only
-the parser.  It is imported the first time the oracle runs: every other
-route, and every command but ``metric-curvature``, never loads it.
+:func:`christoffel_oracle` is generated the same way, from its own
+derivatives: order-2 Taylor jets of the scale trees (:func:`expr.jets`), on
+which the coordinate Christoffel formula runs as arithmetic that prints
+code.  The two curvature routes share only the parser and the tree.
 """
 
 from __future__ import annotations
@@ -282,36 +282,6 @@ def _compiled(build, *keys):
     return expr.evaluator(_route(build, *keys), _COORD_NAMES)
 
 
-@lru_cache(maxsize=None)
-def _lambdified(build, *keys):
-    """The sympy twin of :func:`_compiled`, for the oracle alone: the keys
-    are converted to sympy, build(*keys) is built there, and the column is
-    lambdified once per (build, keys).
-
-    The printer is the one lambdify builds for "numpy", with the same
-    settings, so the generated source is the same.  The namespace starts
-    empty, so lambdify imports only the numpy names the printer used (array,
-    exp, sqrt) instead of running ``from numpy import *``, which loads
-    numpy.f2py, numpy.testing, numpy.ma and about 220 more modules.  No
-    docstring is written, so the matrix is never printed as a string.
-    """
-    import sympy as sp
-    from sympy.printing.numpy import NumPyPrinter
-
-    coords = sp.symbols(_COORD_NAMES)
-    keys = tuple(tuple(expr.to_sympy(tree, coords) for tree in key) for key in keys)
-    printer = NumPyPrinter({
-        "fully_qualified_modules": False,
-        "inline": True,
-        "allow_unknown_functions": True,
-        "user_functions": {},
-    })
-    return sp.lambdify(
-        coords, sp.Matrix(_route(build, *keys)), modules=[{}], printer=printer,
-        use_imps=False, docstring_limit=0,
-    )
-
-
 def _evaluate(point, what, compiled):
     """The values of a compiled evaluator at a checked point, as a float array.
 
@@ -342,10 +312,9 @@ def _evaluate(point, what, compiled):
     return vals
 
 
-def _at(metric, point, what, build, j_field=None, compiler=_compiled):
+def _at(metric, point, what, build, j_field=None):
     """The entries of build, flattened, at a point where the metric's scales
-    are positive and j_field, if given, has unit norm; compiler is
-    :func:`_compiled`, or :func:`_lambdified` for the oracle.
+    are positive and j_field, if given, has unit norm.
 
     One compiled call returns the scales, the structure coefficients and the
     entries, and the rules apply to the values from that call.  When the call
@@ -356,11 +325,12 @@ def _at(metric, point, what, build, j_field=None, compiler=_compiled):
     point = _check_point(point)
     keys = (metric.key,) if j_field is None else (metric.key, j_field.key)
     try:
-        vals = _evaluate(point, what, compiler(build, *keys)).reshape(-1)
+        vals = _evaluate(point, what, _compiled(build, *keys)).reshape(-1)
     except (MetricDomainError, RuntimeWarning, ZeroDivisionError):
         # a RuntimeWarning is numpy's, raised only under an "error" filter; a
-        # ZeroDivisionError is the tree's, building a route that divides by a
-        # scale that is the constant zero, which the scale rule then refuses
+        # ZeroDivisionError is the tree's or the jets', building a route that
+        # divides by a scale that is the constant zero, which the scale rule
+        # then refuses
         if j_field is not None:
             j_field.values(point)
         metric.scale_values(point)
@@ -493,58 +463,51 @@ def curvature_at(metric: DiagonalMetric, point):
 
 
 def _coordinate_curvature_exprs(key):
-    """Independent route, in sympy: coordinate Christoffel symbols of
-    g = diag(a_i^2) for the scales key converted to sympy, the coordinate
-    curvature tensor, conversion to the associated frame, and the sign flip
-    into the convention where R_ijij is sectional curvature."""
-    import sympy as sp
-
-    a = list(key)
-    x = sp.symbols(_COORD_NAMES)
-    g = [ai**2 for ai in a]
+    """Independent route: coordinate Christoffel symbols of g = diag(a_i^2)
+    on the order-2 jets of the scales key, the coordinate curvature tensor,
+    conversion to the associated frame, and the sign flip into the
+    convention where R_ijij is sectional curvature."""
+    a = expr.jets(key)
+    g = [ai * ai for ai in a]
     ginv = [1 / gi for gi in g]
 
     gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
     for k in range(4):
         for i in range(4):
             for j in range(4):
-                term = sp.Integer(0)
+                term = 0
                 if k == j:
-                    term += sp.diff(g[k], x[i])
+                    term += g[k].diff(i)
                 if k == i:
-                    term += sp.diff(g[k], x[j])
+                    term += g[k].diff(j)
                 if i == j:
-                    term -= sp.diff(g[i], x[k])
+                    term -= g[i].diff(k)
                 gamma[k][i][j] = ginv[k] * term / 2
 
     def riemann_low(i, j, k, l):
         # <R(d_i, d_j) d_k, d_l> with R(X, Y) = [nabla_X, nabla_Y] on
         # coordinate fields (their bracket vanishes)
-        term = sp.diff(gamma[l][j][k], x[i]) - sp.diff(gamma[l][i][k], x[j])
+        term = gamma[l][j][k].diff(i) - gamma[l][i][k].diff(j)
         for s in range(4):
             term += gamma[s][j][k] * gamma[l][i][s] - gamma[s][i][k] * gamma[l][j][s]
         return g[l] * term
 
-    rows = []
+    entries = []
     for (k, l) in LEX_PAIRS:
-        row = []
         for (i, j) in LEX_PAIRS:
             ii, jj, kk, ll = i - 1, j - 1, k - 1, l - 1
-            row.append(-riemann_low(ii, jj, kk, ll) / (a[ii] * a[jj] * a[kk] * a[ll]))
-        rows.append(row)
-    return sp.ImmutableMatrix(rows)
+            entries.append(-riemann_low(ii, jj, kk, ll) / (a[ii] * a[jj] * a[kk] * a[ll]))
+    return tuple(entry[()] for entry in entries)
 
 
 def christoffel_oracle(metric: DiagonalMetric, point):
     """Curvature operator computed through coordinate Christoffel symbols.
 
     Used only to verify :func:`curvature_at`; the two routes share only the
-    parser: this one differentiates the scale functions in sympy.
+    parser and the tree: this one takes its derivatives from Taylor jets of
+    the scale trees, never from :meth:`expr.Node.diff`.
     """
-    raw = _at(
-        metric, point, "oracle curvature components", _coordinate_curvature_exprs,
-        compiler=_lambdified,
-    )
+    raw = _at(metric, point, "oracle curvature components", _coordinate_curvature_exprs)
     return _curvature_operator(raw.reshape(6, 6), point)
 
 

@@ -20,9 +20,40 @@ from curv4 import (
     from_unitary_frame,
     ricci,
 )
+from curv4.expr import _ADD, _CONST, _EXP, _VAR
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "sample_inputs"
+
+
+def to_sympy(node, symbols):
+    """The sympy expression of a tree, with x_{i+1} as symbols[i]: the tree's
+    second route, through sympy's own arithmetic."""
+    import sympy as sp
+
+    memo = {}
+
+    def rational(v):
+        return sp.Rational(v.numerator, v.denominator)
+
+    def convert(n):
+        out = memo.get(n)
+        if out is None:
+            kind, args = n.kind, n.args
+            if kind == _CONST:
+                out = rational(args)
+            elif kind == _VAR:
+                out = symbols[args]
+            elif kind == _EXP:
+                out = sp.exp(convert(args))
+            elif kind == _ADD:
+                out = sp.Add(rational(args[0]), *(rational(c) * convert(t) for t, c in args[1]))
+            else:
+                out = sp.Mul(rational(args[0]), *(sp.Pow(convert(b), rational(e)) for b, e in args[1]))
+            memo[n] = out
+        return out
+
+    return convert(node)
 
 
 def random_symmetric6(rng, scale=1.0):
