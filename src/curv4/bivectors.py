@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -63,8 +64,16 @@ def _real_array(value, shape, what):
     This is the one rule for numbers in caller data: each entry must be an
     int or a float.  numpy would read a bool, a numeric string or the real
     part of a complex number as a float, so those are refused, as is any
-    other type.  An int or float ndarray skips the walk over its entries.
+    other type.  An int or float ndarray skips the walk over its entries, and
+    a tuple of finite Python floats, a point as the metric lab reads it,
+    skips every check below.
     """
+    if (
+        type(value) is tuple
+        and shape == (len(value),)
+        and all(type(entry) is float and isfinite(entry) for entry in value)
+    ):
+        return np.array(value)
     walk = not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf")
     if walk:
         value = np.array(value, dtype=object)

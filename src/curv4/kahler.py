@@ -80,9 +80,6 @@ class ComplexStructure:
         j.flags.writeable = False
         object.__setattr__(self, "matrix", j)
 
-    def dual_bivector(self):
-        return _skew_to_form(self.matrix)
-
 
 def unit_triple(values):
     """``values`` as a read-only float array (a12, a13, a14) of finite

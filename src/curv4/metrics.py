@@ -73,6 +73,15 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest nesting parse_expression accepts, counting each parenthesis,
+# exp( or sqrt( and unary sign that encloses a position.  Each level can add
+# four levels to the tree (exp, sum, product, power), and the jets of the
+# Christoffel oracle recurse through several Python frames per tree level:
+# the oracle overflows the interpreter's stack from about 50 such levels, and
+# at 32 every route still has several hundred frames to spare.
+MAX_NESTING = 32
+
+
 class _Parser:
     """Recursive descent for the documented grammar.
 
@@ -86,6 +95,16 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
+
+    def _nested(self, parse, pos):
+        """parse() one nesting level deeper; pos is the level's opening token."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def _peek(self):
         return self.tokens[self.k]
@@ -119,10 +138,10 @@ class _Parser:
         return node
 
     def unary(self):
-        kind, text, _ = self._peek()
+        kind, text, pos = self._peek()
         if kind == "op" and text in "+-":
             self._next()
-            inner = self.unary()
+            inner = self._nested(self.unary, pos)
             return inner if text == "+" else -inner
         return self.power()
 
@@ -153,14 +172,14 @@ class _Parser:
                 kind2, text2, pos2 = self._next()
                 if not (kind2 == "op" and text2 == "("):
                     raise ParseError(f"{text} needs a parenthesized argument", pos2)
-                arg = self.expression()
+                arg = self._nested(self.expression, pos)
                 kind3, text3, pos3 = self._next()
                 if not (kind3 == "op" and text3 == ")"):
                     raise ParseError("missing closing parenthesis", pos3)
                 return expr.exp(arg) if text == "exp" else expr.power(arg, Fraction(1, 2))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            inner = self.expression()
+            inner = self._nested(self.expression, pos)
             kind2, text2, pos2 = self._next()
             if not (kind2 == "op" and text2 == ")"):
                 raise ParseError("missing closing parenthesis", pos2)
@@ -171,7 +190,8 @@ class _Parser:
 
 
 def parse_expression(text):
-    """The expression tree of a string in the documented grammar.
+    """The expression tree of a string in the documented grammar, nested at
+    most MAX_NESTING levels deep (ParseError beyond).
 
     A constant square root of a negative number, a quarter power (a square
     root of a square root) and a division by the constant zero raise
@@ -432,12 +452,12 @@ def frame_curvature_raw(metric: DiagonalMetric, point):
     return _at(metric, point, "curvature components", _frame_curvature_exprs).reshape(6, 6)
 
 
-def _curvature_operator(raw, point):
-    """The symmetrized operator of raw, whose entries are finite; its
-    constructor still rejects a symmetrized entry or a norm that overflows
-    double precision, and either makes the point a domain error."""
+def _curvature_operator(raw, point, scale=None):
+    """The symmetrized operator of raw, whose entries _evaluate has found
+    finite, built once; a symmetrized entry or a norm that overflows double
+    precision is still refused, and either makes the point a domain error."""
     try:
-        return CurvatureOperator(0.5 * (raw + raw.T))
+        return CurvatureOperator._symmetrized(raw, scale)
     except ValueError as err:
         raise MetricDomainError(
             f"the curvature operator's norm is not finite at {tuple(point)}"
@@ -459,7 +479,7 @@ def curvature_at(metric: DiagonalMetric, point):
             f"pair-symmetry defect {defect:.3e} at {tuple(point)}; the frame "
             "formulas are inconsistent here"
         )
-    return _curvature_operator(raw, point)
+    return _curvature_operator(raw, point, scale)
 
 
 def _coordinate_curvature_exprs(key):

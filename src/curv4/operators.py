@@ -92,6 +92,27 @@ class CurvatureOperator:
         m.flags.writeable = False
         self.matrix = m
 
+    @classmethod
+    def _symmetrized(cls, raw, scale=None):
+        """The operator of 0.5 (raw + raw^T), equal bit for bit to
+        ``cls(0.5 * (raw + raw.T))``, for a 6x6 float array raw whose entries
+        are finite; scale, when given, bounds max(1, |entry|) of raw.
+
+        The average is exactly symmetric (float addition commutes), so the
+        number rule and the symmetry check have nothing left to refuse; only
+        an entry above _NORM_SAFE_ENTRY goes through the public constructor,
+        for its norm check.
+        """
+        m = 0.5 * (raw + raw.T)
+        if scale is None:
+            scale = float(abs(m).max())
+        if scale > _NORM_SAFE_ENTRY:
+            return cls(m)
+        m.flags.writeable = False
+        op = cls.__new__(cls)
+        op.matrix = m
+        return op
+
     def component(self, i, j, k, l):
         """R_ijkl with the full index symmetries; zero for a repeated pair."""
         i, j, k, l = _zero_based((i, j, k, l))

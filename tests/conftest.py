@@ -20,6 +20,7 @@ from curv4 import (
     from_unitary_frame,
     ricci,
 )
+from curv4.bivectors import _skew_to_form
 from curv4.expr import _ADD, _CONST, _EXP, _VAR
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -81,7 +82,7 @@ def star_perturbed_const_hol_sec(eps):
     the standard structure, as a matrix: still Kaehler and self-dual, with
     Bianchi defect eps / 2, so every frame keeps a root residual of at least
     eps / (2 sqrt 3)."""
-    w = from_unitary_frame().dual_bivector() / np.sqrt(2.0)
+    w = _skew_to_form(from_unitary_frame().matrix) / np.sqrt(2.0)
     return build_const_hol_sec(1.0).matrix + eps * np.outer(w, w)
 
 

@@ -16,6 +16,7 @@ from curv4 import (
     sd_project,
     wedge,
 )
+from curv4.bivectors import _real_array
 
 E = np.eye(4)
 SWAP_E3_E4 = E[[0, 1, 3, 2]]  # the orientation-reversing axis swap e3 <-> e4
@@ -225,3 +226,41 @@ def test_bivector_shape_validation():
         hodge_star([1.0, 2.0])
     with pytest.raises(ValueError):
         wedge([1, 2, 3], [1, 2, 3, 4])
+
+
+# --- the number rule's fast path: a tuple of finite Python floats ---------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4))
+def test_a_float_tuple_gives_the_array_of_the_walk(point):
+    fast = _real_array(point, (4,), "point")
+    walked = _real_array(list(point), (4,), "point")  # a list takes the walk
+    assert fast.dtype == walked.dtype == np.float64
+    assert fast.shape == walked.shape == (4,)
+    assert fast.tobytes() == walked.tobytes()  # signed zeros too
+    assert fast.flags.writeable and fast.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        pytest.param((float("nan"), 0.0, 0.0, 0.0), "expected finite real numbers, got nan", id="nan"),
+        pytest.param((0.0, float("inf"), 0.0, 0.0), "expected finite real numbers, got inf", id="inf"),
+        pytest.param((0.0, 0.0, -float("inf"), 0.0), "expected finite real numbers, got -inf", id="minus-inf"),
+        pytest.param((True, 0.0, 0.0, 0.0), "expected finite real numbers, got a boolean", id="bool"),
+        pytest.param((0.0, 0.0, 0.0, "0.5"), "expected finite real numbers, got '0.5'", id="str"),
+        pytest.param((0.0, 0.0, 0.0), "expected shape (4,), got (3,)", id="three-floats"),
+    ],
+)
+def test_a_float_tuple_with_a_refused_entry_keeps_its_message(point, message):
+    with pytest.raises(ValueError) as err:
+        _real_array(point, (4,), "point")
+    assert str(err.value) == f"point: {message}"
+
+
+def test_a_tuple_with_a_numpy_float_gives_the_same_array():
+    # np.float64 subclasses float but takes the walk, which accepts it
+    point = (np.float64(0.5), -0.25, 0.0, 1e-300)
+    np.testing.assert_array_equal(
+        _real_array(point, (4,), "point"), _real_array(tuple(map(float, point)), (4,), "point")
+    )

@@ -33,6 +33,7 @@ from curv4 import (
 )
 from curv4.bivectors import DEFAULT_TOLERANCE
 from curv4.cli import _build_parser, emit_report, main
+from curv4.metrics import MAX_NESTING
 from curv4.obstructions import _constraint_blocks
 
 # Every documented invocation with its contracted exit code; the acceptance
@@ -711,11 +712,22 @@ _OPERATOR_DOC = _spoiled(st.one_of(
         optional={"frame": _MATRIX4},
     ),
 ))
-# positive scales; a1 may also vanish or be undefined somewhere, or not parse
+
+
+def _nested_scale(levels):
+    """2+ followed by levels of (e+x2)*x1 around x1: a scale nested levels deep."""
+    scale = "x1"
+    for _ in range(levels):
+        scale = f"({scale}+x2)*x1"
+    return "2+" + scale
+
+
+# positive scales; a1 may also vanish or be undefined somewhere, be nested at
+# or past the cap, or not parse
 _SCALE = st.sampled_from(["1", "2", "exp(x2)", "1+x3^2", "exp(x1*x4)"])
 _A1 = _SCALE | st.sampled_from(
     ["x1", "1/x1", "sqrt(x4)", "x1^100000000", "10^400", "sqrt(x1)^3", "0", "1+", "y",
-     "1+x2^2/10^5000"]
+     "1+x2^2/10^5000", _nested_scale(MAX_NESTING), _nested_scale(70)]
 )
 _METRIC_DOC = _spoiled(st.fixed_dictionaries(
     {"a1": _A1, "a2": _SCALE, "a3": _SCALE, "a4": _SCALE},
@@ -873,6 +885,45 @@ def test_b1_scale_with_a_5000_digit_denominator(fmt, tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
     else:
         assert captured.err == "" and "oracle_agreement" in captured.out
+
+
+_METRIC_COMMANDS = [["metric-curvature"], ["theorem", "unitary-product"]]
+
+
+def _run_nested_scale(levels, command, fmt, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"a1": _nested_scale(levels), "a2": "1", "a3": "1", "a4": "1"}))
+    code = main([*command, "--input", str(path), "--point", "0.01,0.01,0.01,0.01", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    return code, captured, path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", _METRIC_COMMANDS, ids=["metric-curvature", "unitary-product"])
+def test_scale_nested_70_levels_exits_2(command, fmt, tmp_path, capsys):
+    # the oracle's jets overflowed the interpreter's stack here, a traceback
+    # with exit 1; the parser now refuses the level past the cap
+    code, captured, path = _run_nested_scale(70, command, fmt, tmp_path, capsys)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: column {MAX_NESTING + 3}: nesting deeper than 32 levels\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", _METRIC_COMMANDS, ids=["metric-curvature", "unitary-product"])
+def test_scale_nested_200_levels_exits_2(command, fmt, tmp_path, capsys):
+    # here the parser itself overflowed the stack, on every metric command
+    code, captured, path = _run_nested_scale(200, command, fmt, tmp_path, capsys)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: column {MAX_NESTING + 3}: nesting deeper than 32 levels\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", _METRIC_COMMANDS, ids=["metric-curvature", "unitary-product"])
+def test_scale_nested_at_the_cap_exits_0(command, fmt, tmp_path, capsys):
+    code, captured, _ = _run_nested_scale(MAX_NESTING, command, fmt, tmp_path, capsys)
+    assert (code, captured.err) == (0, "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

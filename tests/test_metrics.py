@@ -1,17 +1,24 @@
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 from conftest import SAMPLE_DIR, to_sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curv4 import (
+    CurvatureOperator,
     DiagonalMetric,
+    FrameRotation,
     JField,
     MetricDomainError,
     ParseError,
     bianchi_defect,
     christoffel_oracle,
+    conjugate,
     connection_coeffs,
     curvature_at,
     decompose,
@@ -20,9 +27,17 @@ from curv4 import (
     nabla_J_residuals,
     unitary_product_check,
 )
+import curv4.kahler
 import curv4.metrics
+import curv4.operators
 from curv4.bivectors import LEX_PAIRS
-from curv4.metrics import _compiled, _coordinate_curvature_exprs, parse_expression
+from curv4.metrics import (
+    MAX_NESTING,
+    _at,
+    _compiled,
+    _coordinate_curvature_exprs,
+    parse_expression,
+)
 
 COORDS = sp.symbols("x1:5")  # the oracle's symbols
 X1, X2, X3, X4 = COORDS
@@ -505,3 +520,167 @@ def test_compiled_matches_stock_numpy_lambdify(sample, rng):
         got = np.asarray(ours(*point), dtype=float)[4:]
         want = np.asarray(stock(*point), dtype=float).reshape(-1)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+# --- each rule once per route call ------------------------------------------------
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_each_route_reads_the_point_through_the_number_rule_once(route, monkeypatch):
+    # the point rule runs once; the operator is built without the number rule
+    reads = []
+
+    def counted(real_array):
+        def read(value, shape, what):
+            reads.append(what)
+            return real_array(value, shape, what)
+        return read
+
+    for module in (curv4.metrics, curv4.operators, curv4.kahler):
+        monkeypatch.setattr(module, "_real_array", counted(module._real_array))
+    metric, j_field = DiagonalMetric(*PRODUCT_SCALES), JField("1", "0", "0")
+    for point in [(0.15, -0.2, 0.1, 0.25), _ORIGIN, (-0.3, 0.05, 0.2, -0.1), np.zeros(4), (1, 0, 0, 0)]:
+        reads.clear()
+        route(metric, j_field, point)
+        assert reads.count("point") == 1
+        assert "curvature operator" not in reads
+
+
+_SAMPLE_POINTS = [(0.0, 0.0, 0.0, 0.0), (0.1, 0.2, -0.1, 0.05), (0.1, -0.05, 0.2, 0.15), (-0.3, 0.25, 0.3, -0.2)]
+
+
+@pytest.mark.parametrize("sample", _METRIC_SAMPLES)
+def test_curvature_routes_build_the_public_constructors_operator(sample):
+    # bit for bit CurvatureOperator(0.5 * (raw + raw.T)), read-only and exactly symmetric
+    with open(SAMPLE_DIR / sample, encoding="utf-8") as handle:
+        metric, _ = metric_from_dict(json.load(handle))
+    for point in _SAMPLE_POINTS:
+        primary = frame_curvature_raw(metric, point)
+        oracle = _at(metric, point, "oracle curvature components", _coordinate_curvature_exprs)
+        for op, raw in ((curvature_at(metric, point), primary), (christoffel_oracle(metric, point), oracle)):
+            raw = raw.reshape(6, 6)
+            assert op.matrix.tobytes() == CurvatureOperator(0.5 * (raw + raw.T)).matrix.tobytes()
+            assert op.matrix.T.tobytes() == op.matrix.tobytes()
+            assert not op.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("route", [curvature_at, christoffel_oracle])
+def test_an_operator_beyond_the_safe_entry_keeps_the_norm_rule(route):
+    # R_1212 = -2e200 is finite; the operator's norm is what overflows
+    with pytest.raises(MetricDomainError) as err:
+        route(DiagonalMetric("1+10^200*x2^2", "1", "1", "1"), _ORIGIN)
+    assert str(err.value) == f"the curvature operator's norm is not finite at {_ORIGIN}"
+
+
+# --- the nesting cap ----------------------------------------------------------------
+
+def _nested(step, levels, inner="x1"):
+    """inner wrapped levels times in step, a format string with one {}."""
+    for _ in range(levels):
+        inner = step.format(inner)
+    return inner
+
+
+@pytest.mark.parametrize(
+    "step",
+    ["({})", "({}+x2)*x1", "exp({})", "sqrt(1+{})", "-{}", "+{}", "exp(1+x2*{}^2)"],
+)
+def test_parser_refuses_nesting_beyond_the_cap(step):
+    # each parenthesis, exp( or sqrt( and unary sign is one level, and each
+    # step opens one; the level past the cap is named at its opening token
+    parse_expression(_nested(step, MAX_NESTING))
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels$") as err:
+        parse_expression(_nested(step, MAX_NESTING + 1))
+    assert err.value.position == len(step.split("{}")[0]) * MAX_NESTING + 1
+
+
+def test_nesting_cap_counts_enclosing_levels_only():
+    # siblings do not add up: a wide, shallow expression passes
+    parse_expression("+".join(["exp(sqrt(1+x1)*(x2-x3))"] * 200))
+    # the four kinds of level count together
+    quarter = MAX_NESTING // 4
+    mixed = "exp(" * quarter + "sqrt(1+" * quarter + "(" * quarter + "-" * quarter + "x1"
+    mixed += ")" * (3 * quarter)
+    parse_expression(mixed)
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_expression("(" + mixed + ")")
+    # a sign and the parenthesis it encloses are two levels
+    parse_expression(_nested("-(x2-{})", MAX_NESTING // 2))
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_expression(_nested("-(x2-{})", MAX_NESTING // 2 + 1))
+
+
+def _with_frames(frames, call):
+    """call() beneath frames more Python frames, as a deeper caller would."""
+    return call() if frames == 0 else _with_frames(frames - 1, call)
+
+
+# scales at the cap: exp-sum-power adds four tree levels per level, the most
+# the grammar allows
+_AT_THE_CAP = [
+    pytest.param("2+" + _nested("({}+x2)*x1", MAX_NESTING), id="sum-product"),
+    pytest.param(_nested("exp(1+x2*{}^2)", MAX_NESTING), id="exp-sum-power"),
+    pytest.param(_nested("sqrt(1+x2*x1*{})", MAX_NESTING), id="sqrt-product"),
+    pytest.param(_nested("exp(x2*sqrt(1+x3*{}^2))", MAX_NESTING // 2), id="exp-sqrt"),
+]
+
+
+@pytest.mark.parametrize("scale", _AT_THE_CAP)
+def test_every_route_evaluates_a_scale_at_the_nesting_cap(scale):
+    # with 200 frames to spare below the test's own, every route builds and
+    # evaluates, and the two curvature routes agree
+    metric, j_field = DiagonalMetric(scale, scale, "1+x1^2", scale), JField("1", "0", "0")
+    point = (0.01, 0.02, 0.03, 0.04)
+    for param in _ROUTES:
+        route = param.values[0]
+        values = _with_frames(200, lambda: _route_values(route(metric, j_field, point)))
+        assert np.count_nonzero(np.isfinite(values)) == values.size
+    primary, oracle = curvature_at(metric, point).matrix, christoffel_oracle(metric, point).matrix
+    assert np.max(np.abs(primary - oracle)) <= 1e-8 * max(1.0, float(np.max(np.abs(primary))))
+
+
+# --- symmetry relations of the curvature routes ------------------------------------
+# stated on the scale texts and the operators alone, so they share no code with
+# either route
+
+_SYMMETRY_SCALES = st.sampled_from([
+    "1", "2", "1+x1^2", "exp(x2/3)", "exp(x1*x4/2)", "1/(1+x3^2+x4^2/4)", "sqrt(1+x2^2)",
+    "1+x1*x2/5", "(2+x3)^2", "exp(x1-x4)/(1+x2^2)", "1/(1 + (x1^2 + x2^2)/4)",
+])
+_SYMMETRY_POINTS = st.tuples(*[st.integers(-8, 8).map(lambda n: n / 16)] * 4)
+_CURVATURE_ROUTES = [
+    pytest.param(curvature_at, id="curvature_at"),
+    pytest.param(christoffel_oracle, id="christoffel_oracle"),
+]
+# sigma = (12)(34) as the rotation Q e_i = e_sigma(i); an even permutation, so in SO(4)
+_SIGMA = (1, 0, 3, 2)
+_SIGMA_FRAME = FrameRotation(np.eye(4)[:, _SIGMA])
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("route", _CURVATURE_ROUTES)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    scales=st.tuples(*[_SYMMETRY_SCALES] * 4),
+    c=st.sampled_from(["2", "1/3", "7/5", "10", "0.25"]),
+    point=_SYMMETRY_POINTS,
+)
+def test_homothety_divides_the_operator_by_c_squared(route, scales, c, point):
+    # g -> c^2 g, a_i -> c a_i: R_ijkl in the orthonormal frame scales by 1/c^2
+    op = route(DiagonalMetric(*scales), point).matrix
+    scaled = route(DiagonalMetric(*(f"{c}*({a})" for a in scales)), point).matrix
+    assert _close(scaled * float(Fraction(c)) ** 2, op)
+
+
+@pytest.mark.parametrize("route", _CURVATURE_ROUTES)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(scales=st.tuples(*[_SYMMETRY_SCALES] * 4), point=_SYMMETRY_POINTS)
+def test_even_permutation_conjugates_the_operator(route, scales, point):
+    # in the coordinates y_i = x_sigma(i) the scales are a~_i(y) = a_sigma(i)(x),
+    # and the frame e~_i is e_sigma(i): at y(p), R~ is R at p in the frame Q e
+    renamed = [re.sub(r"x([1-4])", lambda m: f"x{_SIGMA[int(m.group(1)) - 1] + 1}", a) for a in scales]
+    permuted = DiagonalMetric(*(renamed[s] for s in _SIGMA))
+    moved = route(permuted, tuple(point[s] for s in _SIGMA)).matrix
+    assert _close(moved, conjugate(route(DiagonalMetric(*scales), point), _SIGMA_FRAME).matrix)

@@ -26,6 +26,7 @@ from curv4 import (
     wedge,
     weyl_block,
 )
+from curv4.operators import _NORM_SAFE_ENTRY
 
 E = np.eye(4)
 
@@ -530,3 +531,41 @@ def test_serialization_roundtrip(rng):
         operator_from_dict({"basis": "other", "matrix": np.eye(6).tolist()})
     with pytest.raises(ValueError):
         operator_from_dict({})
+
+
+# --- the symmetrized constructor of the metric routes ---------------------------
+
+def _random_raw(rng):
+    """A finite 6x6 matrix, not symmetric, at a random magnitude (up to past
+    _NORM_SAFE_ENTRY), with some exact, negative and integer-valued zeros."""
+    raw = rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-30, 152)
+    raw[rng.random((6, 6)) < 0.2] = 0.0
+    raw[rng.random((6, 6)) < 0.2] = -0.0
+    if rng.random() < 0.2:
+        raw = np.round(raw)
+    return raw
+
+
+def test_symmetrized_equals_the_public_constructor_bit_for_bit(rng):
+    past_the_safe_entry = 0
+    for _ in range(1200):
+        raw = _random_raw(rng)
+        before = raw.tobytes()
+        want = CurvatureOperator(0.5 * (raw + raw.T)).matrix
+        scale = max(1.0, float(np.abs(raw).max()))
+        past_the_safe_entry += scale > _NORM_SAFE_ENTRY
+        for got in (CurvatureOperator._symmetrized(raw), CurvatureOperator._symmetrized(raw, scale)):
+            assert type(got) is CurvatureOperator
+            assert got.matrix.tobytes() == want.tobytes()
+            assert got.matrix.T.tobytes() == got.matrix.tobytes()  # exactly symmetric
+            assert not got.matrix.flags.writeable
+        assert raw.tobytes() == before
+    assert past_the_safe_entry > 0  # the public constructor's path is exercised too
+
+
+def test_symmetrized_keeps_the_norm_overflow_check():
+    raw = np.zeros((6, 6))
+    raw[0, 0], raw[1, 2] = 1e200, 3e199
+    for scale in (None, 1e200):
+        with pytest.raises(ValueError, match="^curvature operator norm overflows double precision$"):
+            CurvatureOperator._symmetrized(raw, scale)
